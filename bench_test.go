@@ -337,15 +337,11 @@ type meshRun struct {
 	GoMaxProcs  int            `json:"gomaxprocs"`
 	Lanes       string         `json:"lanes"` // "1" (classic) or "default"
 	LaneCount   int            `json:"lane_count"`
-	Skew        bool           `json:"skew,omitempty"`      // LaneHash pinned every channel to lane 0
-	Rebalance   bool           `json:"rebalance,omitempty"` // skewed cell with the rebalancer left on
 	N           int            `json:"n"`
 	ElapsedNs   int64          `json:"elapsed_ns"`
 	AggMBps     float64        `json:"agg_mb_per_s"`
 	PiggyShare  float64        `json:"piggy_share"`
 	DRRRounds   int64          `json:"drr_rounds"`
-	Migrations  int64          `json:"migrations"`
-	Steals      int64          `json:"steals"`
 	BatchCalls  int64          `json:"batch_calls"`
 	BatchedMsgs int64          `json:"batched_msgs"`
 	Classes     []meshClassRow `json:"classes"`
@@ -358,7 +354,7 @@ const meshProcs = 8
 // runScaleMesh drives one mesh configuration: meshProcs processes in a
 // ring, one channel per class per direction on every adjacent pair, b.N
 // messages each way (so piggybacked control gets reverse data to ride).
-// lanes is passed straight into Config.SendLanes/RecvLanes: 1 forces the
+// lanes is passed straight into Config.Lanes: 1 forces the
 // classic two-system-thread path, 0 takes the sharded default
 // (min(GOMAXPROCS, 4) lanes).
 func runScaleMesh(b *testing.B, lanes int) meshRun {
@@ -371,7 +367,7 @@ func runScaleMesh(b *testing.B, lanes int) meshRun {
 		rt := mts.New(mts.Config{Name: fmt.Sprintf("mesh%d", i), IdleTimeout: time.Minute})
 		procs[i] = core.New(core.Config{
 			ID: core.ProcID(i), RT: rt, Endpoint: mem.Attach(core.ProcID(i), rt),
-			SendLanes: lanes, RecvLanes: lanes,
+			Lanes: lanes,
 		})
 	}
 
@@ -472,12 +468,10 @@ func runScaleMesh(b *testing.B, lanes int) meshRun {
 		b.ReportMetric(piggyShare, "piggy_share")
 	}
 
-	var drrRounds, migrations, steals int64
+	var drrRounds int64
 	for _, p := range procs {
 		for _, ls := range p.LaneStats() {
 			drrRounds += ls.DRRRounds
-			migrations += ls.MigratedOut
-			steals += ls.Steals
 		}
 	}
 
@@ -490,120 +484,9 @@ func runScaleMesh(b *testing.B, lanes int) meshRun {
 		GoMaxProcs: runtime.GOMAXPROCS(0), Lanes: laneMode,
 		LaneCount: procs[0].Lanes(), N: b.N,
 		ElapsedNs: elapsed.Nanoseconds(), AggMBps: aggMBps, PiggyShare: piggyShare,
-		DRRRounds: drrRounds, Migrations: migrations, Steals: steals,
+		DRRRounds:  drrRounds,
 		BatchCalls: batchCalls, BatchedMsgs: batchedMsgs,
 		Classes: rows,
-	}
-}
-
-// runSkewPair is the skewed-lane cell of the scale sweep: two processes,
-// skewChans go-back-N channels per direction, every one of them routed to
-// lane 0 by Config.LaneHash — the worst-case placement the hot-lane
-// rebalancer exists to repair (a two-proc pair also lands there naturally:
-// the default peer-hash placement maps every channel to the same peer and
-// therefore the same lane). The classes are go-back-N rather than
-// windowed because only sequenced channels are migration-eligible — the
-// receiver must be able to repair cross-ring reordering. rebal leaves the
-// rebalancer at its default interval; false pins the skew in place
-// (RebalanceInterval < 0) and measures the un-repaired baseline.
-func runSkewPair(b *testing.B, rebal bool) meshRun {
-	const skewChans = 6
-	const payload = 8 << 10
-
-	mem := transport.NewMem()
-	procs := make([]*core.Proc, 2)
-	for i := range procs {
-		rt := mts.New(mts.Config{Name: fmt.Sprintf("skew%d", i), IdleTimeout: time.Minute})
-		cfg := core.Config{
-			ID: core.ProcID(i), RT: rt, Endpoint: mem.Attach(core.ProcID(i), rt),
-			LaneHash: func(core.ProcID) int { return 0 },
-		}
-		if !rebal {
-			cfg.RebalanceInterval = -1
-		}
-		procs[i] = core.New(cfg)
-	}
-
-	chans := [2][]*core.Channel{}
-	for side := 0; side < 2; side++ {
-		peer := core.ProcID(1 - side)
-		for i := 0; i < skewChans; i++ {
-			chans[side] = append(chans[side], procs[side].Open(peer, core.ChannelConfig{
-				ID:       core.ChannelID(i + 1),
-				Priority: i % core.NumChannelPriorities,
-				Error:    core.NewGoBackN(8, 25*time.Millisecond),
-			}))
-		}
-	}
-	// Threads per side, in TCreate order: tx0, rx0, tx1, rx1, ... — so
-	// channel i's receiver is user thread 2i+1 on the peer.
-	for side := 0; side < 2; side++ {
-		for i := 0; i < skewChans; i++ {
-			c := chans[side][i]
-			to := 2*i + 1
-			procs[side].TCreate(fmt.Sprintf("tx%d", i), mts.PrioDefault, func(t *core.Thread) {
-				buf := make([]byte, payload)
-				for k := 0; k < b.N; k++ {
-					c.SendTagged(t, k, to, buf)
-				}
-			})
-			procs[side].TCreate(fmt.Sprintf("rx%d", i), mts.PrioDefault, func(t *core.Thread) {
-				buf := make([]byte, payload)
-				for k := 0; k < b.N; k++ {
-					c.RecvInto(t, buf, core.Any)
-				}
-			})
-		}
-	}
-
-	b.SetBytes(int64(2 * skewChans * payload))
-	b.ResetTimer()
-	start := time.Now()
-	done := make(chan struct{}, len(procs))
-	for _, p := range procs {
-		p := p
-		go func() { p.Start(); done <- struct{}{} }()
-	}
-	for range procs {
-		<-done
-	}
-	elapsed := time.Since(start)
-	b.StopTimer()
-
-	row := meshClassRow{Class: "gbn-pair"}
-	for side := 0; side < 2; side++ {
-		for _, c := range chans[side] {
-			s := c.Stats()
-			row.Msgs += s.Sent
-			row.Bytes += s.BytesSent
-			row.CtrlStand += s.CtrlStandalone
-			row.CtrlPiggy += s.CtrlPiggybacked
-		}
-	}
-	row.MBps = float64(row.Bytes) / 1e6 / elapsed.Seconds()
-	piggyShare := 0.0
-	if total := row.CtrlStand + row.CtrlPiggy; total > 0 {
-		piggyShare = float64(row.CtrlPiggy) / float64(total)
-	}
-	var drrRounds, migrations, steals int64
-	for _, p := range procs {
-		for _, ls := range p.LaneStats() {
-			drrRounds += ls.DRRRounds
-			migrations += ls.MigratedOut
-			steals += ls.Steals
-		}
-	}
-	b.ReportMetric(row.MBps, "agg_MB/s")
-	if rebal {
-		b.ReportMetric(float64(migrations), "migrations")
-	}
-
-	return meshRun{
-		GoMaxProcs: runtime.GOMAXPROCS(0), Lanes: "default",
-		LaneCount: procs[0].Lanes(), Skew: true, Rebalance: rebal, N: b.N,
-		ElapsedNs: elapsed.Nanoseconds(), AggMBps: row.MBps, PiggyShare: piggyShare,
-		DRRRounds: drrRounds, Migrations: migrations, Steals: steals,
-		Classes: []meshClassRow{row},
 	}
 }
 
@@ -639,28 +522,6 @@ func BenchmarkScaleMesh(b *testing.B) {
 				cells[key] = &run // last (longest) rep wins
 			})
 		}
-	}
-
-	// The skewed pair: every channel LaneHash-pinned to lane 0 at
-	// GOMAXPROCS=4, once with the hot-lane rebalancer disabled (the
-	// un-repaired baseline) and once with it on. Their ratio is the
-	// recovery the rebalancer buys and is gated in CI (>= 1.3x on hosts
-	// with >= 4 CPUs).
-	for _, mode := range []struct {
-		name  string
-		rebal bool
-	}{
-		{name: "skewed-norebal", rebal: false},
-		{name: "skewed-rebal", rebal: true},
-	} {
-		mode := mode
-		key := "gmp=4/" + mode.name
-		b.Run(key, func(b *testing.B) {
-			runtime.GOMAXPROCS(4)
-			defer runtime.GOMAXPROCS(prevG)
-			run := runSkewPair(b, mode.rebal)
-			cells[key] = &run
-		})
 	}
 
 	// Derived metrics, all comparing cells from the same sweep so machine
@@ -714,14 +575,6 @@ func BenchmarkScaleMesh(b *testing.B) {
 	if l1 := cells["gmp=4/lane1"]; l1 != nil && l1.PiggyShare > 0 {
 		piggyParity = headline.PiggyShare / l1.PiggyShare
 	}
-	// Skew recovery: skewed-with-rebalance over skewed-without.
-	skewRecovery := 0.0
-	if nr, r := cells["gmp=4/skewed-norebal"], cells["gmp=4/skewed-rebal"]; nr != nil && r != nil && nr.AggMBps > 0 {
-		skewRecovery = r.AggMBps / nr.AggMBps
-		for _, run := range []*meshRun{nr, r} {
-			sweep = append(sweep, *run)
-		}
-	}
 	artifact := struct {
 		Bench           string             `json:"bench"`
 		GoOS            string             `json:"goos"`
@@ -740,7 +593,6 @@ func BenchmarkScaleMesh(b *testing.B) {
 		ShardedVsLane1  map[string]float64 `json:"sharded_vs_lane1_same_g"`
 		HeadlineG4Ratio float64            `json:"headline_g4_sharded_vs_lane1_baseline"`
 		PiggyParityG4   float64            `json:"piggy_share_g4_sharded_vs_lane1"`
-		SkewRecoveryG4  float64            `json:"skew_rebalance_recovery_g4"`
 	}{
 		// The legacy top-level fields carry the headline cell
 		// (GOMAXPROCS=4, default lanes) so the run-over-run artifact diff
@@ -753,7 +605,7 @@ func BenchmarkScaleMesh(b *testing.B) {
 		Classes: headline.Classes,
 		Sweep:   sweep, ScalingEff: efficiency, ShardedVsLane1: ratio,
 		HeadlineG4Ratio: headlineRatio,
-		PiggyParityG4:   piggyParity, SkewRecoveryG4: skewRecovery,
+		PiggyParityG4:   piggyParity,
 	}
 	blob, err := json.MarshalIndent(artifact, "", "  ")
 	if err != nil {

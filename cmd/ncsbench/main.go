@@ -37,7 +37,7 @@ func main() {
 	experiment := flag.String("experiment", "all", "which experiment to run (all, table1, table2, table3, fig2, fig3, fig4, fig16, atmapi, wan, mesh)")
 	mutexProfile := flag.String("mutexprofile", "", "write a mutex-contention profile to this file (lane mu hot spots)")
 	blockProfile := flag.String("blockprofile", "", "write a blocking profile to this file (ring sleeps, scheduler waits)")
-	laneSkew := flag.Bool("laneskew", false, "mesh: route every channel to lane 0 (the hot-lane worst case the rebalancer repairs)")
+	laneSkew := flag.Bool("laneskew", false, "mesh: route every channel to lane 0 (a single hot lane; placement is fixed at open, so it stays hot)")
 	weights := flag.String("weights", "", "mesh: comma-separated DRR weights assigned round-robin to the channels (default priority+1)")
 	meshN := flag.Int("n", 1024, "scale1k: number of procs on the virtual-time event loop")
 	seed := flag.Int64("seed", 7, "scale1k: workload seed (same -n and -seed reproduce every timeline hash byte for byte)")

@@ -20,10 +20,11 @@ import (
 //	ncsbench -experiment mesh -laneskew            # every channel on lane 0
 //	ncsbench -experiment mesh -laneskew -weights 6,1
 //
-// -laneskew routes every channel to lane 0 via Config.LaneHash (the
-// hot-lane worst case the rebalancer repairs; watch the migrated/steal
-// columns). -weights is a comma-separated list of DRR weights assigned to
-// the channels round-robin (default: priority+1).
+// -laneskew routes every channel to lane 0 via Config.LaneHash: one hot
+// lane serves all six channels while the other three idle, and nothing
+// moves them (placement is fixed at open). -weights is a comma-separated
+// list of DRR weights assigned to the channels round-robin (default:
+// priority+1).
 const (
 	meshChans   = 6
 	meshMsgs    = 4000
@@ -45,7 +46,7 @@ func mesh(skew bool, weightSpec string) {
 		// show the lane schedulers, not to measure this host.
 		cfg := core.Config{
 			ID: core.ProcID(i), RT: rt, Endpoint: mem.Attach(core.ProcID(i), rt),
-			SendLanes: 4, RecvLanes: 4,
+			Lanes: 4,
 		}
 		if skew {
 			cfg.LaneHash = func(core.ProcID) int { return 0 }
@@ -102,8 +103,8 @@ func mesh(skew bool, weightSpec string) {
 
 	fmt.Printf("Mesh — 2 procs x %d GBN channels/direction, %d x %d KB each way (lanes=%d, skew=%v)\n",
 		meshChans, meshMsgs, meshPayload>>10, procs[0].Lanes(), skew)
-	fmt.Printf("%-8s %4s %6s %8s %10s %9s %9s %9s\n",
-		"channel", "prio", "weight", "msgs", "MB/s", "piggy", "standal.", "migrated")
+	fmt.Printf("%-8s %4s %6s %8s %10s %9s %9s\n",
+		"channel", "prio", "weight", "msgs", "MB/s", "piggy", "standal.")
 	var bytes int64
 	for i := 0; i < meshChans; i++ {
 		var s core.ChannelStats
@@ -113,23 +114,22 @@ func mesh(skew bool, weightSpec string) {
 			s.BytesSent += cs.BytesSent
 			s.CtrlPiggybacked += cs.CtrlPiggybacked
 			s.CtrlStandalone += cs.CtrlStandalone
-			s.Migrations += cs.Migrations
 		}
 		bytes += s.BytesSent
-		fmt.Printf("%-8d %4d %6d %8d %10.1f %9d %9d %9d\n",
+		fmt.Printf("%-8d %4d %6d %8d %10.1f %9d %9d\n",
 			i+1, i%core.NumChannelPriorities, chans[0][i].Stats().Weight,
 			s.Sent, float64(s.BytesSent)/1e6/elapsed.Seconds(),
-			s.CtrlPiggybacked, s.CtrlStandalone, s.Migrations)
+			s.CtrlPiggybacked, s.CtrlStandalone)
 	}
 	fmt.Printf("aggregate: %.1f MB/s in %v\n\n", float64(bytes)/1e6/elapsed.Seconds(), elapsed.Round(time.Millisecond))
 
-	fmt.Printf("%-12s %6s %6s %10s %10s %8s %8s %7s\n",
-		"lane", "chans", "piggy%", "coalesced", "drr_rnds", "mig_in", "mig_out", "steals")
+	fmt.Printf("%-12s %6s %6s %10s %10s\n",
+		"lane", "chans", "piggy%", "coalesced", "drr_rnds")
 	for side := 0; side < 2; side++ {
 		for _, ls := range procs[side].LaneStats() {
-			fmt.Printf("proc%d/lane%-2d %5d %6.1f %10d %10d %8d %8d %7d\n",
+			fmt.Printf("proc%d/lane%-2d %5d %6.1f %10d %10d\n",
 				side, ls.Lane, ls.Channels, 100*ls.PiggyShare,
-				ls.CtrlCoalesced, ls.DRRRounds, ls.MigratedIn, ls.MigratedOut, ls.Steals)
+				ls.CtrlCoalesced, ls.DRRRounds)
 		}
 	}
 }

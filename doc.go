@@ -27,7 +27,7 @@
 //
 // Threading model: the paper's one-send-one-receive system-thread pair
 // per process is the lanes=1 configuration, still the default on a
-// single-core host. On multicore (or with Config.SendLanes/RecvLanes),
+// single-core host. On multicore (or with Config.Lanes),
 // the pair shards into min(GOMAXPROCS, 4) lane engines; every channel is
 // pinned to one lane for life (peer-hash by default, ChannelConfig.Lane
 // to choose), so FIFO within a channel, strict priority among channels

@@ -133,7 +133,7 @@ func main() {
 			name, s.Flow, s.Error, s.Sent, float64(s.BytesSent)/1024, s.Received, float64(s.BytesReceived)/1024)
 		if s.Lane >= 0 {
 			// Sharded mode: the lane scheduler's view of this channel.
-			fmt.Printf(" [lane %d, weight %d, migrated %dx]", s.Lane, s.Weight, s.Migrations)
+			fmt.Printf(" [lane %d, weight %d]", s.Lane, s.Weight)
 		}
 		fmt.Println()
 	}
@@ -144,8 +144,8 @@ func main() {
 		}
 		fmt.Printf("%s lanes:\n", name)
 		for _, l := range ls {
-			fmt.Printf("  lane %d: %d channels, piggy share %4.1f%% (%d coalesced cross-channel), %d DRR rounds, migrations %d in / %d out, %d steals\n",
-				l.Lane, l.Channels, 100*l.PiggyShare, l.CtrlCoalesced, l.DRRRounds, l.MigratedIn, l.MigratedOut, l.Steals)
+			fmt.Printf("  lane %d: %d channels, piggy share %4.1f%% (%d coalesced cross-channel), %d DRR rounds\n",
+				l.Lane, l.Channels, 100*l.PiggyShare, l.CtrlCoalesced, l.DRRRounds)
 		}
 	}
 	fmt.Printf("VOD stream: %d frames at %.0f fps target while %d MB of lossy bulk traffic shared the proc pair\n",

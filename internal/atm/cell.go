@@ -189,6 +189,11 @@ const trailerSize = 8
 // MaxPDU is the largest AAL5 payload (16-bit length field).
 const MaxPDU = 65535
 
+// maxPDUBytes is the largest legal CPCS-PDU on the wire: MaxPDU octets
+// plus pad and trailer, 1366 cells (65,568 octets). The reassembler never
+// buffers more than this per VC.
+const maxPDUBytes = (MaxPDU + trailerSize + PayloadSize - 1) / PayloadSize * PayloadSize
+
 // buildTrailer computes the CPCS-PDU geometry and trailer for payload:
 // the zero-pad length and the 8-octet trailer (UU, CPI, Length, CRC-32).
 // The CRC is computed streaming over payload ++ pad ++ trailer[0:4], so no
@@ -340,6 +345,13 @@ func (r *Reassembler) Dropped() int { return r.dropped }
 // Push adds the next cell. When the cell completes a frame, Push returns the
 // verified payload (done=true). Cells for other VCs are rejected.
 //
+// Memory is bounded: a frame still open after the largest legal PDU's 1366
+// cells has lost its end-of-frame cell (or comes from a hostile sender), so
+// the partial frame is dropped, counted, and reported as ErrLength. Cells
+// ahead of a frame's trailer-declared length at end of frame are likewise
+// the remains of an earlier frame whose end-of-frame cell was lost: they are
+// counted as one dropped frame, and only the tail is verified and delivered.
+//
 // The returned payload aliases the reassembler's internal buffer and is
 // valid only until the next Push: the buffer grows once to the VC's working
 // set and is then reused for every frame (the per-VC buffer recycling the
@@ -352,6 +364,11 @@ func (r *Reassembler) Push(c Cell) (payload []byte, done bool, err error) {
 	if !r.active {
 		r.buf = r.buf[:0]
 	}
+	if len(r.buf) == maxPDUBytes {
+		r.active = false
+		r.dropped++
+		return nil, false, ErrLength
+	}
 	r.buf = append(r.buf, c.Payload[:]...)
 	r.active = true
 	if !c.Header.EndOfFrame() {
@@ -359,25 +376,22 @@ func (r *Reassembler) Push(c Cell) (payload []byte, done bool, err error) {
 	}
 	pdu := r.buf
 	r.active = false
-	if len(pdu) < trailerSize {
-		r.dropped++
-		return nil, false, ErrLength
-	}
 	tr := pdu[len(pdu)-trailerSize:]
 	n := int(binary.BigEndian.Uint16(tr[2:]))
 	wantCRC := binary.BigEndian.Uint32(tr[4:])
+	need := CellCount(n) * PayloadSize
+	if len(pdu) < need {
+		r.dropped++
+		return nil, false, ErrLength
+	}
+	skip := len(pdu) - need
+	pdu = pdu[skip:]
 	if aal5crc32(pdu[:len(pdu)-4]) != wantCRC {
 		r.dropped++
 		return nil, false, ErrCRC
 	}
-	if n > len(pdu)-trailerSize {
-		r.dropped++
-		return nil, false, ErrLength
-	}
-	// Pad must fit within the final cell (otherwise the sender mis-framed).
-	if len(pdu)-(n+trailerSize) >= PayloadSize {
-		r.dropped++
-		return nil, false, ErrLength
+	if skip > 0 {
+		r.dropped++ // the earlier frame whose end-of-frame cell was lost
 	}
 	return pdu[:n], true, nil
 }

@@ -201,8 +201,7 @@ func TestCrossChannelCoalesce(t *testing.T) {
 		rt := mts.New(mts.Config{Name: fmt.Sprintf("node%d", i), IdleTimeout: 10 * time.Second})
 		procs[i] = New(Config{
 			ID: ProcID(i), RT: rt, Endpoint: mem.Attach(ProcID(i), rt),
-			SendLanes: 4, RecvLanes: 4,
-			RebalanceInterval: -1, // isolate coalescing from migration
+			Lanes: 4,
 		})
 	}
 	a0 := procs[0].Open(1, ChannelConfig{ID: 1, Error: NewGoBackN(8, 50*time.Millisecond)})
@@ -252,15 +251,15 @@ func TestCrossChannelCoalesce(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------------
-// Hot-lane rebalancing (tentpole layer 3)
+// Skewed placement
 
-// TestHotLaneRebalance forces every channel onto lane 0 through a skewed
-// Config.LaneHash, drives bursty reliable traffic with natural idle
-// windows, and checks that the rebalancer migrates channels off the hot
-// lane — while a concurrent goroutine hammers the stats surfaces (the
-// migration-vs-stats race the -race runs verify) and an explicitly pinned
-// channel stays put.
-func TestHotLaneRebalance(t *testing.T) {
+// TestHotLaneSkew forces every channel onto lane 0 through a skewed
+// Config.LaneHash and drives bursty reliable traffic through the one hot
+// lane, while a concurrent goroutine hammers the stats surfaces (-race
+// verifies their locking under traffic). Placement is fixed at open: every
+// hash-placed channel must still be on lane 0 at the end, an explicitly
+// pinned channel on its pinned lane, and each channel's delivery FIFO.
+func TestHotLaneSkew(t *testing.T) {
 	const nch, rounds, burst = 8, 30, 10
 	mem := transport.NewMem()
 	procs := make([]*Proc, 2)
@@ -268,9 +267,8 @@ func TestHotLaneRebalance(t *testing.T) {
 		rt := mts.New(mts.Config{Name: fmt.Sprintf("node%d", i), IdleTimeout: 10 * time.Second})
 		procs[i] = New(Config{
 			ID: ProcID(i), RT: rt, Endpoint: mem.Attach(ProcID(i), rt),
-			SendLanes: 4, RecvLanes: 4,
-			LaneHash:          func(ProcID) int { return 0 }, // maximal skew
-			RebalanceInterval: 200 * time.Microsecond,
+			Lanes:    4,
+			LaneHash: func(ProcID) int { return 0 }, // maximal skew
 		})
 	}
 	payload := make([]byte, 4096)
@@ -291,7 +289,7 @@ func TestHotLaneRebalance(t *testing.T) {
 	procs[1].Open(0, mkPin())
 
 	stop := make(chan struct{})
-	go func() { // stats under migration: -race verifies the locking
+	go func() { // stats under traffic: -race verifies the locking
 		for {
 			select {
 			case <-stop:
@@ -320,8 +318,7 @@ func TestHotLaneRebalance(t *testing.T) {
 					tx.SendTagged(th, tag, i, payload)
 					tag++
 				}
-				// Wait for the receiver's echo: the idle window in which
-				// the channel is migration-safe.
+				// Wait for the receiver's echo before the next burst.
 				m := th.recvMsgOn(tx.id, Any, Any, 1)
 				m.Release()
 			}
@@ -357,39 +354,34 @@ func TestHotLaneRebalance(t *testing.T) {
 		}
 		for k, tag := range order[i] {
 			if tag != k {
-				t.Fatalf("channel %d: position %d saw tag %d (FIFO broken across migration)", i+1, k, tag)
+				t.Fatalf("channel %d: position %d saw tag %d (FIFO broken)", i+1, k, tag)
 			}
 		}
 	}
-	var out, in, steals int64
+	for i := 0; i < nch; i++ {
+		for side, c := range chans[i] {
+			if c.ln != procs[side].lanes[0] {
+				t.Fatalf("proc %d channel %d left its placed lane 0 for lane %d", side, i+1, c.ln.idx)
+			}
+		}
+	}
+	if want := procs[0].lanes[1]; pin0.ln != want {
+		t.Fatalf("pinned channel moved to lane %d", pin0.ln.idx)
+	}
 	for _, l := range procs[0].LaneStats() {
-		out += l.MigratedOut
-		in += l.MigratedIn
-		steals += l.Steals
-	}
-	t.Logf("proc0 lanes: %d migrated out, %d in, %d via steal", out, in, steals)
-	if out == 0 {
-		t.Fatal("hot lane never shed a channel despite maximal skew")
-	}
-	if out != in {
-		t.Fatalf("migration books unbalanced: %d out, %d in", out, in)
-	}
-	if want := procs[0].lanes[1]; pin0.laneOf() != want {
-		t.Fatalf("pinned channel moved to lane %d", pin0.laneOf().idx)
-	}
-	if pin0.Stats().Migrations != 0 {
-		t.Fatal("pinned channel recorded migrations")
+		if l.MigratedIn != 0 {
+			t.Fatalf("lane %d reports %d channels migrated in", l.Lane, l.MigratedIn)
+		}
 	}
 }
 
 // ---------------------------------------------------------------------------
-// Chaos: DRR weights + rebalancing under loss
+// Chaos: DRR weights under loss on a skewed lane
 
 // TestAdaptiveChaosLossy drives a priority (weight 6) and a bulk
 // (weight 2) class — same priority level, so the weighted scheduler, not
-// strict priority, shares the lane — through 20% frame loss with the
-// rebalancer active and every channel hash-skewed onto lane 0, over three
-// seeds. Go-back-N must deliver each class exactly-once in order, and the
+// strict priority, shares the lane — through 20% frame loss with every
+// channel hash-skewed onto lane 0, over three seeds. Go-back-N must deliver each class exactly-once in order, and the
 // bulk class must keep at least half its weight share while the priority
 // class saturates (the DRR starvation bound).
 func TestAdaptiveChaosLossy(t *testing.T) {
@@ -405,9 +397,8 @@ func TestAdaptiveChaosLossy(t *testing.T) {
 				rt := mts.New(mts.Config{Name: fmt.Sprintf("node%d", i), IdleTimeout: 10 * time.Second})
 				procs[i] = New(Config{
 					ID: ProcID(i), RT: rt, Endpoint: mem.Attach(ProcID(i), rt),
-					SendLanes: 4, RecvLanes: 4,
-					LaneHash:          func(ProcID) int { return 0 },
-					RebalanceInterval: 500 * time.Microsecond,
+					Lanes:    4,
+					LaneHash: func(ProcID) int { return 0 },
 				})
 				procs[i].OnException(func(error) {})
 			}

@@ -71,9 +71,8 @@ type ChannelConfig struct {
 	// configuration: 1-based (wrapped into the lane count), 0 selects the
 	// default placement — a hash of the peer. Channels sharing a lane
 	// serialize against each other; channels on different lanes run
-	// concurrently. An explicitly pinned channel is never moved by the
-	// hot-lane rebalancer; hash-placed channels are. Ignored in the classic
-	// single-lane configuration.
+	// concurrently. Either way the placement holds for the channel's
+	// lifetime. Ignored in the classic single-lane configuration.
 	Lane int
 	// Weight is the channel's deficit-round-robin service weight within its
 	// lane (sharded configuration only): each round a backlogged channel
@@ -99,7 +98,6 @@ type Channel struct {
 	id       ChannelID
 	priority int
 	weight   int // DRR weight within the lane (Priority+1 by default)
-	pinned   bool
 	flow     FlowControl
 	errc     ErrorControl
 	closed   bool
@@ -134,16 +132,12 @@ type Channel struct {
 	deadErr  *PeerDeadError
 	idleOver time.Duration
 
-	// lnp is the lane the channel currently runs on in the sharded
-	// configuration (nil classically). All mutable channel state below —
+	// ln is the lane the channel runs on in the sharded configuration
+	// (nil classically). It is set before the channel is published to the
+	// proc's table and never changes. All mutable channel state below —
 	// discipline state, piggyback words, the closed flag — is guarded by
-	// the *current* lane's mu when set, and by the scheduler domain
-	// otherwise. The hot-lane rebalancer may move an idle-safe channel to
-	// another lane (holding both lane locks), so out-of-lock readers use
-	// lockLane, which loads, locks, and re-checks; in-lock contexts may
-	// Load directly — the pointer cannot change while its lane's lock is
-	// held.
-	lnp atomic.Pointer[lane]
+	// ln.mu when set, and by the scheduler domain otherwise.
+	ln *lane
 
 	// Pending reverse-direction control: the receiver role's credit
 	// advertisement and error-control acks wait here for a data frame
@@ -176,13 +170,6 @@ type Channel struct {
 	deficit int64
 	inSched bool
 
-	// Rebalance state: loadAcc accumulates enqueued bytes since the last
-	// rebalance scan (atomic — senders add outside any single lane's
-	// lock); lastMoveTick is the rebalance tick of the last migration
-	// (cooldown, under the lane lock).
-	loadAcc      atomic.Int64
-	lastMoveTick int64
-
 	// lane names the channel's trace timeline (empty without a Tracer).
 	lane string
 
@@ -193,7 +180,6 @@ type Channel struct {
 	ctrlPiggy                atomic.Int64 // control words that rode data frames
 	ctrlStandalone           atomic.Int64 // standalone control frames sent
 	ctrlCoalesced            atomic.Int64 // words that rode another channel's frame
-	migrations               atomic.Int64 // times the rebalancer moved this channel
 }
 
 // ChannelStats is a channel's traffic snapshot.
@@ -219,11 +205,8 @@ type ChannelStats struct {
 	// byte deficit in the lane scheduler (sharded mode; zero classically).
 	Weight  int
 	Deficit int64
-	// Lane is the index of the lane currently serving the channel (-1
-	// classically) and Migrations how many times the hot-lane rebalancer
-	// has moved it.
-	Lane       int
-	Migrations int64
+	// Lane is the index of the lane serving the channel (-1 classically).
+	Lane int
 	// Flow and Error name the channel's disciplines.
 	Flow, Error string
 }
@@ -275,7 +258,7 @@ func (p *Proc) DefaultChannel(peer ProcID) *Channel {
 }
 
 // addChannel builds a channel and publishes it. The channel is fully
-// initialized — lane pinned, disciplines init'd — *before* it enters the
+// initialized — lane placed, disciplines init'd — *before* it enters the
 // table: in sharded mode a foreign goroutine (routeFrame) may resolve it
 // the instant it is visible. Two goroutines may race to create the same
 // default channel; the loser's channel is discarded and the winner's
@@ -286,12 +269,10 @@ func (p *Proc) addChannel(key chanKey, prio, laneHint, weight int, fc FlowContro
 	}
 	c := &Channel{p: p, peer: key.peer, id: key.id, priority: prio, weight: weight, flow: fc, errc: ec}
 	if p.sharded() {
-		c.lnp.Store(p.lanes[p.laneIndex(key.peer, laneHint)])
-		c.pinned = laneHint > 0
-		ln := c.lnp.Load()
-		ln.mu.Lock()
-		ln.chans = append(ln.chans, c)
-		ln.mu.Unlock()
+		c.ln = p.lanes[p.laneIndex(key.peer, laneHint)]
+		c.ln.mu.Lock()
+		c.ln.chans = append(c.ln.chans, c)
+		c.ln.mu.Unlock()
 	}
 	if p.cfg.Tracer != nil {
 		c.lane = fmt.Sprintf("%s/ch%d>%d", p.cfg.TraceName, key.id, key.peer)
@@ -419,39 +400,21 @@ func (c *Channel) sendFailErr() error {
 	return &ChannelClosedError{Local: c.p.cfg.ID, Peer: c.peer, ID: c.id}
 }
 
-// lockLane acquires the channel's *current* lane lock, returning the locked
-// lane (nil classically). Because the rebalancer only moves a channel while
-// holding both the source and destination lane locks, a loaded pointer that
-// still matches after locking is stable until the caller unlocks — the
-// load/lock/re-check loop below is the standard out-of-lock entry into a
-// migratable channel's lane domain.
+// lockLane acquires the channel's lane lock, returning the locked lane
+// (nil classically).
 func (c *Channel) lockLane() *lane {
-	for {
-		ln := c.lnp.Load()
-		if ln == nil {
-			return nil
-		}
-		ln.mu.Lock()
-		if c.lnp.Load() == ln {
-			return ln
-		}
-		ln.mu.Unlock()
+	if c.ln != nil {
+		c.ln.mu.Lock()
 	}
+	return c.ln
 }
-
-// laneOf returns the channel's current lane without locking (nil
-// classically). Only in-lock contexts — discipline callbacks, lane engine
-// code — may treat the result as stable.
-func (c *Channel) laneOf() *lane { return c.lnp.Load() }
 
 // laneLock / laneUnlock guard lane-domain discipline state for the public
 // introspection accessors (WindowFlow.Outstanding, GoBackN.Retransmissions,
 // ...): on a sharded channel that state mutates under the lane lock in the
 // engine goroutines, so a reader outside the lane must take it. Both are
 // no-ops on classic channels (scheduler-domain state, scheduler-domain
-// callers) and on a nil receiver (discipline not yet bound). laneUnlock
-// releases the lane laneLock acquired: the channel cannot migrate while its
-// current lane's lock is held, so the loaded pointer still names it.
+// callers) and on a nil receiver (discipline not yet bound).
 func (c *Channel) laneLock() {
 	if c != nil {
 		c.lockLane()
@@ -459,11 +422,8 @@ func (c *Channel) laneLock() {
 }
 
 func (c *Channel) laneUnlock() {
-	if c == nil {
-		return
-	}
-	if ln := c.lnp.Load(); ln != nil {
-		ln.mu.Unlock()
+	if c != nil && c.ln != nil {
+		c.ln.mu.Unlock()
 	}
 }
 
@@ -501,8 +461,8 @@ func (c *Channel) Stats() ChannelStats {
 		Sent: c.sent.Load(), Received: c.received.Load(),
 		BytesSent: c.bytesSent.Load(), BytesReceived: c.bytesReceived.Load(),
 		CtrlPiggybacked: c.ctrlPiggy.Load(), CtrlStandalone: c.ctrlStandalone.Load(),
-		CtrlCoalesced: c.ctrlCoalesced.Load(), Migrations: c.migrations.Load(),
-		Weight: c.weight, Lane: -1,
+		CtrlCoalesced: c.ctrlCoalesced.Load(),
+		Weight:        c.weight, Lane: -1,
 		Flow: c.flow.Name(), Error: c.errc.Name(),
 	}
 	if ln := c.lockLane(); ln != nil {
@@ -556,7 +516,7 @@ func (c *Channel) armFlush() {
 		c.flushCtrl()
 		return
 	}
-	if ln := c.lnp.Load(); ln != nil {
+	if ln := c.ln; ln != nil {
 		ln.pendAddLocked(c)
 		if c.flushOn || c.closed {
 			return
@@ -615,7 +575,7 @@ func (p *Proc) wheelFire() {
 // caller holds the lane lock and is responsible for servicing the lane
 // afterwards (the frames are queued, not yet transmitted).
 func (c *Channel) flushCtrl() {
-	ln := c.lnp.Load()
+	ln := c.ln
 	if c.pendCreditOn {
 		c.pendCreditOn = false
 		c.ctrlStandalone.Add(1)
@@ -642,7 +602,7 @@ func (c *Channel) flushCtrl() {
 // owning lane's queue in sharded mode (the caller holds the lane lock and
 // services it afterwards), the proc-wide send queue classically.
 func (c *Channel) sendCtrl(tag int, payload uint32, withPayload bool) {
-	ln := c.lnp.Load()
+	ln := c.ln
 	if ln == nil {
 		c.p.sendCtrl(c.peer, c.id, tag, payload, withPayload)
 		return
@@ -663,7 +623,7 @@ func (c *Channel) sendCtrl(tag int, payload uint32, withPayload bool) {
 
 // sendCtrlVec is sendCtrl with a multi-word payload (ack bursts).
 func (c *Channel) sendCtrlVec(tag int, words []uint32) {
-	ln := c.lnp.Load()
+	ln := c.ln
 	if ln == nil {
 		c.p.sendCtrlVec(c.peer, c.id, tag, words)
 		return
@@ -688,14 +648,14 @@ func (c *Channel) sendCtrlVec(tag int, words []uint32) {
 // callback, service whatever it queued (retransmissions, credit syncs),
 // then drain the scheduler-domain completions. Timer callbacks fire via
 // Config.After, which is always a scheduler-domain context, so the drain
-// is legal here. The lane is resolved at fire time, not capture time: the
-// rebalancer may have migrated the channel since the timer was armed.
+// is legal here.
 func (c *Channel) wrapTimer(fn func()) func() {
-	if c.lnp.Load() == nil {
+	ln := c.ln
+	if ln == nil {
 		return fn
 	}
 	return func() {
-		ln := c.lockLane()
+		ln.mu.Lock()
 		fn()
 		ln.serviceLocked()
 		ln.mu.Unlock()
@@ -707,7 +667,7 @@ func (c *Channel) wrapTimer(fn func()) func() {
 // deferred through the lane drain in sharded mode (callers hold the lane
 // lock, and exception handlers are user code that must not run under it).
 func (c *Channel) raise(err error) {
-	if ln := c.lnp.Load(); ln != nil {
+	if ln := c.ln; ln != nil {
 		ln.errs = append(ln.errs, err)
 		return
 	}
@@ -718,7 +678,7 @@ func (c *Channel) raise(err error) {
 // discipline (selective repeat) ahead of anything already waiting at the
 // channel's priority level, so release order equals sequence order.
 func (c *Channel) requeueRx(flushed []*transport.Message) {
-	if ln := c.lnp.Load(); ln != nil {
+	if ln := c.ln; ln != nil {
 		ln.requeueRxLocked(c, flushed)
 		return
 	}
@@ -733,7 +693,7 @@ func (c *Channel) requeueRx(flushed []*transport.Message) {
 // cross-channel coalescing may then fill the free slot from a sibling
 // channel, so each attached word is stamped with its owning channel.
 func (c *Channel) attachPiggy(m *transport.Message) {
-	ln := c.lnp.Load()
+	ln := c.ln
 	if c.pendCreditOn && !m.HasCredit {
 		m.Credit, m.HasCredit = c.pendCredit, true
 		m.CreditChan = c.id
@@ -774,7 +734,7 @@ func (c *Channel) SendTagged(t *Thread, tag, toThread int, data []byte) {
 	if t.proc != c.p {
 		panic("core: thread sending on another process's channel")
 	}
-	if c.lnp.Load() != nil {
+	if c.ln != nil {
 		c.laneSend(t, tag, toThread, data)
 		return
 	}

@@ -418,9 +418,6 @@ func (g *Group) fanSendSharded(t *Thread, tag int, idxs []int, datas [][]byte, s
 		req.m = m
 		req.ch = c
 		req.fan = t
-		cost := int64(wire.HeaderSize + len(m.Data))
-		c.loadAcc.Add(cost)
-		ln.loadAcc.Add(cost)
 		ln.pending.push(c.priority, req)
 		ln.mu.Unlock()
 		seen := false

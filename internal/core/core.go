@@ -34,7 +34,7 @@
 //
 // # Threading model
 //
-// With Config.SendLanes/RecvLanes = 1 (the GOMAXPROCS=1 default) the
+// With Config.Lanes = 1 (the GOMAXPROCS=1 default) the
 // process runs the paper's exact model: one send and one receive system
 // thread at top priority, strict 9-level priority across channels,
 // per-channel flush timers. At lane counts above one the pair shards into
@@ -50,24 +50,21 @@
 //     window first tries to ride a sibling channel's queued or imminent
 //     data frame toward the same peer, and flush timers share one
 //     per-lane wheel instead of one timer per channel.
-//   - Hot-lane rebalancing (rebalance.go): per-lane load EWMAs drive a
-//     periodic tick (Config.RebalanceInterval; negative disables) that
-//     migrates idle-safe sequenced channels from the hottest lane to the
-//     coldest, plus an enqueue-time steal under extreme skew.
-//     Config.LaneHash overrides initial placement; ChannelConfig.Lane
-//     pins a channel immovably.
+//   - Static placement: a channel runs on one lane for life, chosen when
+//     it opens by ChannelConfig.Lane or else by a hash of the peer
+//     (Config.LaneHash overrides the hash), as the paper's NCS process
+//     keeps a channel on its one send/receive thread pair.
 //
 // Proc.LaneStats reports the per-lane view: piggyback share, coalesced
-// control words, DRR rounds, migrations, and steals.
+// control words, and DRR rounds.
 //
 // # Execution modes
 //
 // The lane engines run in one of two modes, selected per Proc:
 //
 //   - Real mode (default): each lane engine is a goroutine; timers are
-//     wall-clock (the rebalance ticker in clockseam.go — the package's one
-//     sanctioned wall-clock contact — and whatever Config.After supplies).
-//     This is what every live transport and benchmark uses.
+//     whatever Config.After supplies (wall-clock by default). This is what
+//     every live transport and benchmark uses.
 //   - Virtual mode (Config.VirtualTime, requires Config.After): the same
 //     lane code runs as event callbacks on a discrete-event engine's clock
 //     — no lane goroutines at all. Events and the threads they dispatch
@@ -144,7 +141,7 @@ type Config struct {
 	After func(d time.Duration, fn func())
 	// VirtualTime declares that the proc executes on a discrete-event loop:
 	// After is the simulation engine's virtual timer and every internal
-	// engine (lane steps, the rebalancer tick, drain hand-offs) must ride
+	// engine (lane steps, drain hand-offs) must ride
 	// it as clock events instead of goroutines, tickers, or PostAsync.
 	// This is what lets the sharded lane hot path run under a sim harness —
 	// N procs on one shared clock with a deterministic timeline — instead
@@ -173,29 +170,20 @@ type Config struct {
 	// "<TraceName>/t<idx>".
 	Tracer    *trace.Recorder
 	TraceName string
-	// SendLanes and RecvLanes select the sharded multi-core hot path (see
-	// lane.go): 0 defaults to min(GOMAXPROCS, 4), and the larger of the two
-	// resolved values becomes the lane count (each lane is a combined
-	// send/recv engine). A resolved count of 1 — always the case on a
+	// Lanes selects the sharded multi-core hot path (see lane.go): the
+	// number of combined send/recv lane engines, 0 defaulting to
+	// min(GOMAXPROCS, 4). A resolved count of 1 — always the case on a
 	// single-core GOMAXPROCS — keeps the paper's classic two-system-thread
 	// path exactly. Sharding also requires a transport.FrameCarrier
 	// endpoint and engages in real mode (no RecvCharge, ArrivalPollDelay,
 	// or custom After hook) or under a VirtualTime discrete-event loop;
 	// the classic sim harnesses' RecvCharge/poll machinery remains
 	// scheduler-domain by construction and keeps the classic path.
-	SendLanes int
-	RecvLanes int
-	// RebalanceInterval is the hot-lane rebalancer's scan period (sharded
-	// mode only): every interval the proc compares per-lane load EWMAs and
-	// migrates one idle-safe channel from the hottest lane to the coldest.
-	// 0 selects DefaultRebalanceInterval; negative disables rebalancing
-	// (channels stay on their hash- or pin-assigned lane forever).
-	RebalanceInterval time.Duration
+	Lanes int
 	// LaneHash overrides the default peer→lane placement hash (sharded
 	// mode only): a channel with no explicit ChannelConfig.Lane lands on
-	// lane LaneHash(peer) mod lane count. Benchmarks use it to reproduce
-	// skewed placements; channels placed through it remain migratable by
-	// the rebalancer (unlike explicit pins).
+	// lane LaneHash(peer) mod lane count, and stays there. Benchmarks use
+	// it to reproduce skewed placements.
 	LaneHash func(ProcID) int
 	// Admission judges incoming signaled call setups (Proc.OpenCall at the
 	// peer): nil admits everything. Rejections travel back to the caller
@@ -326,12 +314,6 @@ type Proc struct {
 	wheelFn     func()
 	flushTimers atomic.Int64
 
-	// Hot-lane rebalancer (sharded mode; see rebalance.go): rebalEvery is
-	// the resolved RebalanceInterval (0 = disabled), rebalTick the tick
-	// counter migration cooldowns compare against.
-	rebalEvery time.Duration
-	rebalTick  atomic.Int64
-
 	// channels holds every open channel, keyed by (peer, channel ID).
 	// Default channels (ID 0) are created lazily from the Config
 	// templates; explicit channels come from Open. chanMu guards the map
@@ -437,12 +419,6 @@ func New(cfg Config) *Proc {
 		p.ctrlFlush = DefaultCtrlFlushDelay
 	}
 	p.wheelFn = p.wheelFire
-	p.rebalEvery = cfg.RebalanceInterval
-	if p.rebalEvery == 0 {
-		p.rebalEvery = DefaultRebalanceInterval
-	} else if p.rebalEvery < 0 {
-		p.rebalEvery = 0
-	}
 	p.channels = make(map[chanKey]*Channel)
 	p.onException = func(err error) {
 		// Wrap rather than format: a recovering thread (chaos harnesses,
@@ -458,14 +434,10 @@ func New(cfg Config) *Proc {
 	// classic sim harness and keeps the two-thread path, unless the harness
 	// declares VirtualTime — then the lanes themselves run as events on
 	// that timer (see engineDriver in lane.go).
-	lanes := resolveLanes(cfg.SendLanes)
-	if r := resolveLanes(cfg.RecvLanes); r > lanes {
-		lanes = r
-	}
+	lanes := resolveLanes(cfg.Lanes)
 	fc, frames := cfg.Endpoint.(transport.FrameCarrier)
 	if lanes > 1 && frames && cfg.RecvCharge == nil && cfg.ArrivalPollDelay == nil && (!customAfter || cfg.VirtualTime) {
 		p.initLanes(lanes, fc)
-		p.startRebalance()
 		p.startHeartbeat()
 		return p
 	}
@@ -715,7 +687,7 @@ func (t *Thread) SendTagged(tag int, toThread int, toProc ProcID, data []byte) {
 	}
 	p := t.proc
 	c := p.DefaultChannel(toProc)
-	if c.lnp.Load() != nil {
+	if c.ln != nil {
 		c.laneSend(t, tag, toThread, data)
 		return
 	}
@@ -774,7 +746,7 @@ func (p *Proc) failGated(c *Channel, reqs []*sendReq, gate string) {
 	if len(reqs) == 0 {
 		return
 	}
-	if ln := c.lnp.Load(); ln != nil {
+	if ln := c.ln; ln != nil {
 		// Lane domain: recycle under the held lane lock, defer wakeups and
 		// the exception to the drain.
 		for _, req := range reqs {
@@ -816,7 +788,7 @@ func (p *Proc) enqueueSend(req *sendReq) {
 		level = req.ch.priority
 	}
 	if req.ch != nil {
-		if ln := req.ch.lnp.Load(); ln != nil {
+		if ln := req.ch.ln; ln != nil {
 			// Sharded: the caller (a discipline releasing a deferred
 			// request, a retransmission timer) already holds the channel's
 			// lane lock; the request joins the lane's queue and is serviced

@@ -47,7 +47,7 @@ func TestPeerCrashFaultUnblocksRecv(t *testing.T) {
 			mem := transport.NewMem()
 			var rec *trace.Recorder
 			procs := sigCluster(t, 2, mem, func(i int, cfg *Config) {
-				cfg.SendLanes, cfg.RecvLanes = lanes, lanes
+				cfg.Lanes = lanes
 				cfg.Heartbeat = hbCfg()
 				if i == 0 {
 					rec = trace.NewRecorder(cfg.RT.Clock())
@@ -551,7 +551,7 @@ func TestAcceptQueueOverflowBusy(t *testing.T) {
 	held := true
 	var heldQ []func()
 	procs := sigCluster(t, 3, mem, func(i int, cfg *Config) {
-		cfg.SendLanes, cfg.RecvLanes = 1, 1
+		cfg.Lanes = 1
 		if i == 0 {
 			cfg.AcceptQueue = 1
 			cfg.OnAccept = serveCalls(0)

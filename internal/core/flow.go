@@ -234,7 +234,7 @@ func (w *WindowFlow) onDelivered(m *transport.Message) {
 func (w *WindowFlow) advertise() {
 	w.c.pendCredit = w.delivered
 	w.c.pendCreditOn = true
-	if ln := w.c.laneOf(); ln != nil {
+	if ln := w.c.ln; ln != nil {
 		ln.pendAddLocked(w.c)
 		if !w.c.mustFlushOn {
 			w.c.mustFlushOn = true

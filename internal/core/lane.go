@@ -51,14 +51,11 @@ import (
 // its channel, resolved in the *sender's* goroutine so the engine never
 // touches the channel table. cc/ca name the channels a cross-channel
 // piggybacked credit/ack word belongs to when that differs from the
-// frame's own channel (lane-aware coalescing); fn, when set, is an
-// engine-posted function (hot-lane rebalancing) the engine runs outside
-// its lock after the batch it arrived in.
+// frame's own channel (lane-aware coalescing).
 type rxItem struct {
 	m      *transport.Message
 	c      *Channel // nil for barrier control and unknown-channel traffic
 	cc, ca *Channel // cross-channel credit / ack targets (usually nil)
-	fn     func()   // engine-posted work (migration); m and c are nil
 }
 
 // lane is one send/recv engine shard.
@@ -81,8 +78,7 @@ type lane struct {
 	pending laneSched
 	rxq     prioQueue[rxItem]
 
-	// chans lists every channel currently served by this lane (membership
-	// moves with the rebalancer, under both lane locks).
+	// chans lists every channel served by this lane.
 	chans []*Channel
 
 	// pendCtrl indexes this lane's channels with pending reverse-direction
@@ -105,20 +101,6 @@ type lane struct {
 	ctrlPiggyL      int64
 	ctrlStandaloneL int64
 	ctrlCoalescedL  int64
-	migratedIn      int64
-	migratedOut     int64
-	steals          int64
-
-	// Load tracking for the hot-lane rebalancer: loadAcc accumulates
-	// enqueued bytes since the last rebalance tick (atomic — senders add
-	// before taking the lane lock), ewma is the tick-smoothed load the
-	// rebalancer compares lanes by.
-	loadAcc atomic.Int64
-	ewma    atomic.Int64
-
-	// fnScratch batches engine-posted functions out of a drained ring
-	// batch (engine goroutine only).
-	fnScratch []func()
 
 	// Per-lane freelists: the classic proc-level pools, sharded so lanes
 	// never contend on recycling.
@@ -336,8 +318,7 @@ func (p *Proc) initLanes(n int, fc transport.FrameCarrier) {
 // piggybacked control words — in the *calling* goroutine (a peer's lane
 // engine or scheduler thread), then hands the message to the owning
 // lane's ring. The engine itself therefore never takes the channel-table
-// lock. A channel may migrate between the load and the push; the stale
-// lane's processLocked re-routes such items to the current owner.
+// lock.
 func (p *Proc) routeFrame(fb *wire.Buf) {
 	m, err := wire.UnmarshalPooled(fb)
 	if err != nil {
@@ -355,7 +336,7 @@ func (p *Proc) routeFrame(fb *wire.Buf) {
 	}
 	ln := p.lanes[p.laneIndex(m.From, 0)]
 	if c != nil {
-		ln = c.lnp.Load()
+		ln = c.ln
 	}
 	p.statRingPush.Add(1)
 	ln.rx.Push(rxItem{m: m, c: c, cc: cc, ca: ca})
@@ -390,37 +371,12 @@ func (ln *lane) engine() {
 			tr.Set(ln.traceName, trace.Comm)
 			tr.Mark(ln.traceName, fmt.Sprintf("q=%d", len(items)))
 		}
-		ln.p.statRingDrain.Add(int64(len(items)))
-		fns := ln.fnScratch[:0]
 		ln.mu.Lock()
-		for i := range items {
-			it := items[i]
-			if it.fn != nil {
-				// Engine-posted work (rebalancing) runs outside the lock,
-				// after the batch it arrived in.
-				fns = append(fns, it.fn)
-				items[i] = rxItem{}
-				continue
-			}
-			level := ctrlLevel
-			if it.m.Tag >= 0 && it.c != nil {
-				level = it.c.priority
-			}
-			ln.rxq.push(level, it)
-			items[i] = rxItem{}
-		}
-		ln.processLocked()
-		ln.serviceLocked()
-		post := ln.queueDrainLocked()
+		post := ln.ingestLocked(items)
 		ln.mu.Unlock()
 		if post {
 			ln.p.cfg.RT.PostAsync(ln.drainFn)
 		}
-		for i, fn := range fns {
-			fn()
-			fns[i] = nil
-		}
-		ln.fnScratch = fns[:0]
 		// During shutdown the keeper thread parks until every lane is
 		// quiescent; a frame the engine just consumed (the peer's last
 		// ack or credit) may have been the very thing it was waiting out,
@@ -453,35 +409,12 @@ func (ln *lane) step() {
 			tr.Set(ln.traceName, trace.Comm)
 			tr.Mark(ln.traceName, fmt.Sprintf("q=%d", len(items)))
 		}
-		ln.p.statRingDrain.Add(int64(len(items)))
-		fns := ln.fnScratch[:0]
 		ln.mu.Lock()
-		for i := range items {
-			it := items[i]
-			if it.fn != nil {
-				fns = append(fns, it.fn)
-				items[i] = rxItem{}
-				continue
-			}
-			level := ctrlLevel
-			if it.m.Tag >= 0 && it.c != nil {
-				level = it.c.priority
-			}
-			ln.rxq.push(level, it)
-			items[i] = rxItem{}
-		}
-		ln.processLocked()
-		ln.serviceLocked()
-		post := ln.queueDrainLocked()
+		post := ln.ingestLocked(items)
 		ln.mu.Unlock()
 		if post {
 			ln.runDrain()
 		}
-		for i, fn := range fns {
-			fn()
-			fns[i] = nil
-		}
-		ln.fnScratch = fns[:0]
 	}
 	if tr != nil && worked {
 		tr.Set(ln.traceName, trace.Idle)
@@ -489,6 +422,24 @@ func (ln *lane) step() {
 	if worked && ln.p.closing.Load() {
 		ln.p.shutdownFn()
 	}
+}
+
+// ingestLocked is the shared body of engine and step: queue one drained
+// ring batch by priority, process it, service the send scheduler the
+// processing may have fed, and report whether a drain must be scheduled.
+func (ln *lane) ingestLocked(items []rxItem) (post bool) {
+	ln.p.statRingDrain.Add(int64(len(items)))
+	for i, it := range items {
+		level := ctrlLevel
+		if it.m.Tag >= 0 && it.c != nil {
+			level = it.c.priority
+		}
+		ln.rxq.push(level, it)
+		items[i] = rxItem{}
+	}
+	ln.processLocked()
+	ln.serviceLocked()
+	return ln.queueDrainLocked()
 }
 
 // queueDrainLocked marks a drain as needed if the out-queues are non-empty;
@@ -512,20 +463,6 @@ func (ln *lane) processLocked() {
 	for !ln.rxq.empty() {
 		it := ln.rxq.pop()
 		m, c := it.m, it.c
-		if c != nil && c.lnp.Load() != ln {
-			// The channel migrated after this item was routed; the stale
-			// lane must not touch its state. Forward to the current owner
-			// in pop order (FIFO within the channel is preserved for the
-			// forwarded items; the rebalancer only moves channels whose
-			// error control sequences data, so a frame racing the handoff
-			// is re-ordered at worst into a retransmission, never into a
-			// mis-ordered delivery).
-			dst := c.lnp.Load()
-			ln.p.statRingPush.Add(1)
-			dst.rx.Push(it)
-			dst.kick()
-			continue
-		}
 		if m.Tag < 0 {
 			switch m.Tag {
 			case tagFlowAck, tagGBNAck:
@@ -677,7 +614,9 @@ func (ln *lane) serviceLocked() {
 // the lane-aware cross-channel coalescing that keeps the piggyback share
 // high when a peer's control and data flow on different channels. Each
 // word is stamped with its owning channel (one extra wire byte per
-// foreign word).
+// foreign word). The default channel's words never ride a sibling: the
+// wire reads an owner of 0 as "the frame's own channel", so they would
+// land on the carrying channel's disciplines.
 func (ln *lane) attachCrossLocked(c *Channel, m *transport.Message) {
 	if m.HasCredit && m.HasAck {
 		return
@@ -688,7 +627,7 @@ func (ln *lane) attachCrossLocked(c *Channel, m *transport.Message) {
 			return
 		}
 		s := sibs[i]
-		if s == c || s.closed {
+		if s == c || s.closed || s.id == 0 {
 			i++
 			continue
 		}
@@ -732,10 +671,11 @@ func (ln *lane) attachCrossLocked(c *Channel, m *transport.Message) {
 // applyCrossLocked delivers a cross-channel piggybacked control word to
 // its owning channel: inline when that channel lives on this lane,
 // otherwise as a synthetic standalone control message forwarded to the
-// owner's ring (rare — an explicit cross-lane pin or a migration window,
-// so the allocation stays off the steady-state hot path).
+// owner's ring (rare — only an explicit cross-lane pin puts two channels
+// to one peer on different lanes, so the allocation stays off the
+// steady-state hot path).
 func (ln *lane) applyCrossLocked(t *Channel, tag int, v uint32) {
-	if t.lnp.Load() == ln {
+	if t.ln == ln {
 		if tag == tagFlowAck {
 			t.flow.onCredit(v)
 		} else {
@@ -747,10 +687,9 @@ func (ln *lane) applyCrossLocked(t *Channel, tag int, v uint32) {
 		From: t.peer, To: ln.p.cfg.ID, Channel: t.id, Tag: tag,
 		Data: wire.AppendUint32(nil, v),
 	}
-	dst := t.lnp.Load()
 	ln.p.statRingPush.Add(1)
-	dst.rx.Push(rxItem{m: m, c: t})
-	dst.kick()
+	t.ln.rx.Push(rxItem{m: m, c: t})
+	t.ln.kick()
 }
 
 // ---------------------------------------------------------------------------
@@ -789,11 +728,11 @@ func (ln *lane) pendDropLocked(c *Channel) {
 // queued or imminent on this lane — a frame the channel's pending control
 // could ride instead of flushing standalone: queued sends awaiting
 // service, sends parked inside a flow window or error-control tier that
-// will re-emerge shortly.
+// will re-emerge shortly. Only c's own frames can carry the default
+// channel's control (see attachCrossLocked).
 func (ln *lane) rideImminentLocked(c *Channel) bool {
-	sibs := ln.chans
-	for _, s := range sibs {
-		if s.peer != c.peer || s.closed {
+	for _, s := range ln.chans {
+		if s.peer != c.peer || s.closed || (c.id == 0 && s != c) {
 			continue
 		}
 		if s.sq.Size() > 0 || s.flow.queued() > 0 || s.errc.queued() > 0 {
@@ -858,8 +797,8 @@ func (ln *lane) wheelFire() {
 	ln.runDrain()
 }
 
-// markDecision emits a scheduler-decision mark ("coalesce", "ctrl-defer",
-// "migrate") on the lane's trace timeline.
+// markDecision emits a scheduler-decision mark ("coalesce", "ctrl-defer")
+// on the lane's trace timeline.
 func (ln *lane) markDecision(c *Channel, kind string) {
 	if tr := ln.p.cfg.Tracer; tr != nil {
 		tr.Mark(ln.traceName, kind+" "+c.lane)
@@ -982,13 +921,8 @@ func (c *Channel) laneSend(t *Thread, tag, toThread int, data []byte) {
 		return
 	}
 	p.traceThread(t, trace.Idle)
-	cost := int64(wire.HeaderSize + len(data))
-	c.loadAcc.Add(cost)
-	if p.rebalEvery > 0 && c.sent.Load()&63 == 0 {
-		c.maybeSteal()
-	}
-	ln := c.lockLane()
-	ln.loadAcc.Add(cost)
+	ln := c.ln
+	ln.mu.Lock()
 	if c.sendUnavailable() {
 		ln.mu.Unlock()
 		p.exception(c.sendFailErr())
@@ -1160,4 +1094,55 @@ func (p *Proc) laneLoop(st *mts.Thread) {
 	for _, ln := range p.lanes {
 		ln.runDrain()
 	}
+}
+
+// ---------------------------------------------------------------------------
+// Introspection
+
+// LaneStats is one lane's scheduler snapshot.
+type LaneStats struct {
+	// Lane is the lane index and Channels how many channels it serves.
+	Lane     int
+	Channels int
+	// CtrlPiggybacked / CtrlStandalone count control words that rode data
+	// frames vs standalone control frames sent by this lane's channels;
+	// CtrlCoalesced is the subset of piggybacked words that rode a
+	// *different* channel's frame. PiggyShare is
+	// piggybacked/(piggybacked+standalone).
+	CtrlPiggybacked int64
+	CtrlStandalone  int64
+	CtrlCoalesced   int64
+	PiggyShare      float64
+	// DRRRounds counts completed deficit-round-robin rounds of the lane's
+	// send scheduler.
+	DRRRounds int64
+	// MigratedIn is always 0: a channel keeps the lane it was placed on
+	// for life. The field is kept so existing readers still compile.
+	MigratedIn int64
+}
+
+// LaneStats returns a per-lane scheduler snapshot, nil on a classic
+// (single-lane) proc. Safe to call while traffic is flowing.
+func (p *Proc) LaneStats() []LaneStats {
+	if !p.sharded() {
+		return nil
+	}
+	out := make([]LaneStats, len(p.lanes))
+	for i, ln := range p.lanes {
+		ln.mu.Lock()
+		st := LaneStats{
+			Lane:            i,
+			Channels:        len(ln.chans),
+			CtrlPiggybacked: ln.ctrlPiggyL,
+			CtrlStandalone:  ln.ctrlStandaloneL,
+			CtrlCoalesced:   ln.ctrlCoalescedL,
+			DRRRounds:       ln.pending.rounds,
+		}
+		ln.mu.Unlock()
+		if t := st.CtrlPiggybacked + st.CtrlStandalone; t > 0 {
+			st.PiggyShare = float64(st.CtrlPiggybacked) / float64(t)
+		}
+		out[i] = st
+	}
+	return out
 }

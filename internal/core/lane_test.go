@@ -27,7 +27,7 @@ func shardedCluster(t *testing.T, n int, net *transport.Mem, mk func(i int) (Flo
 		procs[i] = New(Config{
 			ID: ProcID(i), RT: rt, Endpoint: ep,
 			Flow: fc, Error: ec,
-			SendLanes: 4, RecvLanes: 4,
+			Lanes: 4,
 		})
 	}
 	return procs
@@ -45,9 +45,9 @@ func TestShardedEngages(t *testing.T) {
 	// Lane count 1 must select the classic two-thread engine.
 	rt := mts.New(mts.Config{Name: "classic", IdleTimeout: 10 * time.Second})
 	ep := transport.NewMem().Attach(0, rt)
-	p := New(Config{ID: 0, RT: rt, Endpoint: ep, SendLanes: 1, RecvLanes: 1})
+	p := New(Config{ID: 0, RT: rt, Endpoint: ep, Lanes: 1})
 	if p.Lanes() != 1 || p.sharded() {
-		t.Fatalf("SendLanes=1 must run the classic path (lanes=%d sharded=%v)", p.Lanes(), p.sharded())
+		t.Fatalf("Lanes=1 must run the classic path (lanes=%d sharded=%v)", p.Lanes(), p.sharded())
 	}
 	p.TCreate("noop", mts.PrioDefault, func(th *Thread) {})
 	runReal([]*Proc{p})
@@ -127,16 +127,16 @@ func TestShardedLanePinning(t *testing.T) {
 	procs := shardedCluster(t, 2, net, nil)
 	p := procs[0]
 	pinned := p.Open(1, ChannelConfig{ID: 1, Lane: 3})
-	if want := p.lanes[(3-1)%4]; pinned.laneOf() != want {
-		t.Fatalf("Lane:3 pinned to lane %d, want %d", pinned.laneOf().idx, want.idx)
+	if want := p.lanes[(3-1)%4]; pinned.ln != want {
+		t.Fatalf("Lane:3 pinned to lane %d, want %d", pinned.ln.idx, want.idx)
 	}
 	hashed := p.Open(1, ChannelConfig{ID: 2})
-	if want := p.lanes[1%4]; hashed.laneOf() != want {
-		t.Fatalf("default pin landed on lane %d, want peer-hash lane %d", hashed.laneOf().idx, want.idx)
+	if want := p.lanes[1%4]; hashed.ln != want {
+		t.Fatalf("default pin landed on lane %d, want peer-hash lane %d", hashed.ln.idx, want.idx)
 	}
 	wrap := p.Open(1, ChannelConfig{ID: 3, Lane: 6})
-	if want := p.lanes[(6-1)%4]; wrap.laneOf() != want {
-		t.Fatalf("Lane:6 pinned to lane %d, want %d", wrap.laneOf().idx, want.idx)
+	if want := p.lanes[(6-1)%4]; wrap.ln != want {
+		t.Fatalf("Lane:6 pinned to lane %d, want %d", wrap.ln.idx, want.idx)
 	}
 	procs[0].TCreate("noop", mts.PrioDefault, func(th *Thread) {})
 	procs[1].TCreate("noop", mts.PrioDefault, func(th *Thread) {})

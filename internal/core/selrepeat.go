@@ -236,8 +236,7 @@ func (s *SelectiveRepeat) pending() int {
 	return total
 }
 
-func (s *SelectiveRepeat) queued() int     { return len(s.deferred) }
-func (s *SelectiveRepeat) sequenced() bool { return true }
+func (s *SelectiveRepeat) queued() int { return len(s.deferred) }
 
 // shutdown fails deferred requests so a Send gated on window space cannot
 // hang across Channel.Close; the in-flight window keeps retransmitting

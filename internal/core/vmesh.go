@@ -13,7 +13,7 @@ import (
 )
 
 // This file is the virtual-time mesh harness: N procs — sharded lanes, DRR,
-// coalescing, rebalancing and all — executing on one discrete-event loop
+// coalescing and all — executing on one discrete-event loop
 // with a shared clock. It is how the modeled scaling results at N ∈ {64,
 // 256, 1024} are produced: lane engines run as vclock events (Config.
 // VirtualTime + the engineDriver seam in lane.go), frames travel as
@@ -38,8 +38,6 @@ type VirtualMeshConfig struct {
 	// default channel exactly as Config.Flow/Config.Error (nil = none).
 	Flow  FlowControl
 	Error ErrorControl
-	// RebalanceInterval is passed through to Config.RebalanceInterval.
-	RebalanceInterval time.Duration
 	// Admission is the per-proc call admission policy for signaled opens
 	// (nil = admit everything), passed through to Config.Admission.
 	Admission AdmissionPolicy
@@ -108,21 +106,19 @@ func NewVirtualMesh(n int, seed int64, cfg VirtualMeshConfig) *VirtualMesh {
 	for i := 0; i < n; i++ {
 		node := eng.NewNode(fmt.Sprintf("vp%d", i))
 		p := New(Config{
-			ID:                ProcID(i),
-			RT:                node.RT(),
-			Endpoint:          mesh.Attach(i),
-			Compute:           work.Sim(node),
-			After:             after,
-			VirtualTime:       true,
-			SendLanes:         lanes,
-			RecvLanes:         lanes,
-			Flow:              cfg.Flow,
-			Error:             cfg.Error,
-			RebalanceInterval: cfg.RebalanceInterval,
-			Admission:         cfg.Admission,
-			SigIdleTimeout:    cfg.SigIdleTimeout,
-			OnAccept:          cfg.OnAccept,
-			Heartbeat:         cfg.Heartbeat,
+			ID:             ProcID(i),
+			RT:             node.RT(),
+			Endpoint:       mesh.Attach(i),
+			Compute:        work.Sim(node),
+			After:          after,
+			VirtualTime:    true,
+			Lanes:          lanes,
+			Flow:           cfg.Flow,
+			Error:          cfg.Error,
+			Admission:      cfg.Admission,
+			SigIdleTimeout: cfg.SigIdleTimeout,
+			OnAccept:       cfg.OnAccept,
+			Heartbeat:      cfg.Heartbeat,
 		})
 		vm.Nodes = append(vm.Nodes, node)
 		vm.Procs = append(vm.Procs, p)

@@ -17,6 +17,7 @@
 package udpatm
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"net"
@@ -47,6 +48,22 @@ func VCForChan(src, dst transport.ProcID, ch wire.ChannelID) atm.VC {
 // cells (MaxChunk/48 · 53 bytes ≈ 9 KB) stay well under the UDP datagram
 // limit.
 const MaxChunk = 8192 - wire.ChunkHeaderSize
+
+// MaxMessage is the largest marshalled message one Send can carry:
+// wire.MaxChunks chunks of MaxChunk bytes (about 512 MiB). The chunk index
+// is 16 bits, so a longer message would wrap it.
+const MaxMessage = wire.MaxChunks * MaxChunk
+
+// ErrTooLarge reports a message whose marshalled form exceeds MaxMessage.
+var ErrTooLarge = errors.New("udpatm: message needs more than 65536 chunks")
+
+// checkSize refuses a marshalled length the chunk index cannot number.
+func checkSize(wireLen int) error {
+	if wireLen > MaxMessage {
+		return fmt.Errorf("%w: %d bytes marshalled, limit %d", ErrTooLarge, wireLen, MaxMessage)
+	}
+	return nil
+}
 
 // Network is a mesh of UDP endpoints on loopback.
 type Network struct {
@@ -367,13 +384,18 @@ func (e *Endpoint) queue(vc atm.VC) *vcTx {
 // contract, and coalesces consecutive frames of one VC into a single
 // cell-train datagram. The message is fully serialized into pooled frame
 // buffers before Send returns, so the caller may reuse m and m.Data; the
-// buffers recycle once the kernel has copied each datagram.
+// buffers recycle once the kernel has copied each datagram. A message
+// longer than MaxMessage is refused before anything is queued: Send panics
+// with an ErrTooLarge error, as it does for other misuse (the Endpoint
+// interface has no error return).
 func (e *Endpoint) Send(t *mts.Thread, m *transport.Message) {
 	dst := e.addrOf(m.To)
 	if dst == nil {
 		panic(fmt.Sprintf("udpatm: unknown destination proc %d", m.To))
 	}
-	e.enqueueFrames(m, dst)
+	if err := e.enqueueFrames(m, dst); err != nil {
+		panic(err)
+	}
 }
 
 // SendBatch implements transport.BatchSender: the destination resolves
@@ -392,15 +414,22 @@ func (e *Endpoint) SendBatch(t *mts.Thread, ms []*transport.Message) {
 		if m.To != ms[0].To {
 			panic("udpatm: SendBatch run mixes destinations")
 		}
-		e.enqueueFrames(m, dst)
+		if err := e.enqueueFrames(m, dst); err != nil {
+			panic(err)
+		}
 	}
 }
 
 // enqueueFrames serializes one message into AAL5 frames on its VC's
-// transmit queue; the shared body of Send and SendBatch.
-func (e *Endpoint) enqueueFrames(m *transport.Message, dst *net.UDPAddr) {
+// transmit queue; the shared body of Send and SendBatch. A message too
+// large for the chunk index is refused with an error before any frame is
+// queued.
+func (e *Endpoint) enqueueFrames(m *transport.Message, dst *net.UDPAddr) error {
 	if m.From != e.proc {
 		panic(fmt.Sprintf("udpatm: proc %d sending as %d", e.proc, m.From))
+	}
+	if err := checkSize(m.WireSize()); err != nil {
+		return err
 	}
 	e.mu.Lock()
 	e.seq++
@@ -449,6 +478,7 @@ func (e *Endpoint) enqueueFrames(m *transport.Message, dst *net.UDPAddr) {
 	e.txMu.Unlock()
 	wire.PutBuf(cb)
 	wire.PutBuf(wb)
+	return nil
 }
 
 // maxQueuedFrames bounds frames outstanding across all VC transmit queues

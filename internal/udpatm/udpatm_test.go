@@ -2,6 +2,7 @@ package udpatm
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/mts"
 	"repro/internal/transport"
+	"repro/internal/wire"
 )
 
 func newRT(name string) *mts.Runtime {
@@ -476,4 +478,21 @@ func TestCellTrainsCoalesce(t *testing.T) {
 		t.Fatalf("train of %d cells exceeds the MTU bound", maxCells)
 	}
 	t.Logf("cell trains: %d trains carried %d frames (largest %d cells)", trains, frames, maxCells)
+}
+
+// TestSendRefusesChunkIndexWrap: a message whose marshalled form needs
+// more than wire.MaxChunks chunks would wrap the 16-bit chunk index, so the
+// sender refuses it with ErrTooLarge instead. The limit itself fills the
+// index space exactly. (Checked on lengths alone: a real 512 MiB message
+// is not worth allocating in a unit test.)
+func TestSendRefusesChunkIndexWrap(t *testing.T) {
+	if n := wire.Fragments(MaxMessage, MaxChunk); n != wire.MaxChunks {
+		t.Fatalf("MaxMessage takes %d chunks, want %d", n, wire.MaxChunks)
+	}
+	if err := checkSize(MaxMessage); err != nil {
+		t.Fatalf("MaxMessage refused: %v", err)
+	}
+	if err := checkSize(MaxMessage + 1); !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("MaxMessage+1: err = %v, want ErrTooLarge", err)
+	}
 }

@@ -15,6 +15,10 @@ import (
 // ChunkHeaderSize is the encoded chunk header length in bytes.
 const ChunkHeaderSize = 8
 
+// MaxChunks is the most chunks one message may split into: the chunk index
+// is 16 bits, so chunk 65,535 must be the last.
+const MaxChunks = 1 << 16
+
 const chunkFlagLast = 1
 
 // ChunkHeader is the decoded per-chunk prefix.
@@ -130,9 +134,11 @@ func (c *Chunker) Next(dst []byte) (chunk []byte, ok bool) {
 //
 // The assembler is strict: a chunk whose sequence differs from the message
 // under assembly abandons that message (counted in Dropped), a chunk index
-// discontinuity abandons and returns ErrChunkGap, and a chunk arriving for
-// a message whose head was never seen returns ErrChunkStray. This is the
-// loss behaviour the paper's error-control tier (go-back-N) recovers from.
+// discontinuity — or a non-last chunk at the final index 0xFFFF, after
+// which the index would wrap — abandons and returns ErrChunkGap, and a
+// chunk arriving for a message whose head was never seen returns
+// ErrChunkStray. This is the loss behaviour the paper's error-control tier
+// (go-back-N) recovers from.
 type Assembler struct {
 	buf     []byte
 	seq     uint32
@@ -181,8 +187,9 @@ func (a *Assembler) Push(chunk []byte) (msg []byte, done bool, err error) {
 		a.next = 0
 		a.buf = a.buf[:0]
 	}
-	if h.Index != a.next {
-		// Interior chunk lost: the message cannot be completed.
+	if h.Index != a.next || (h.Index == MaxChunks-1 && !h.Last) {
+		// Interior chunk lost, or the message claims more chunks than the
+		// index can number: it cannot be completed.
 		a.abandon()
 		return nil, false, ErrChunkGap
 	}

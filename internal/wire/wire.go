@@ -118,6 +118,11 @@ var ErrShortMessage = errors.New("wire: short message")
 // ErrMagic reports a wire message with a bad magic number.
 var ErrMagic = errors.New("wire: bad magic")
 
+// ErrChanOwner reports a cross-channel control word naming the default
+// channel (0) as its owner on another channel's frame. MarshalAppend reads
+// an owner of 0 as "the frame's own channel", so it never produces one.
+var ErrChanOwner = errors.New("wire: cross-channel word owned by channel 0")
+
 const wireMagic = 0x4E435334 // "NCS4"
 
 // crossChan reports whether any piggybacked word belongs to a channel other
@@ -302,6 +307,13 @@ func checkWire(b []byte) error {
 	}
 	if len(b) < need {
 		return ErrShortMessage
+	}
+	if b[34]&flagChans != 0 && binary.BigEndian.Uint16(b[32:]) != 0 {
+		for _, owner := range b[need-words : need] {
+			if owner == 0 {
+				return ErrChanOwner
+			}
+		}
 	}
 	return nil
 }
