@@ -127,7 +127,9 @@ type Endpoint struct {
 
 	// Receive-side state, touched only by the reader goroutine: per-VC
 	// cell reassembly (AAL5 frames) feeding per-VC chunk assembly
-	// (messages). Both tiers reuse grow-once buffers.
+	// (messages). Both tiers reuse grow-once buffers. Entries exist only
+	// for VCs a registered peer's channel to this endpoint rides (see
+	// knownVC), so both maps stay within known peers × 256 channels.
 	reasm map[atm.VC]*atm.Reassembler
 	asm   map[atm.VC]*wire.Assembler
 
@@ -608,10 +610,13 @@ func (e *Endpoint) writeLoop() {
 	}
 }
 
-// readLoop receives datagrams, validates and reassembles cells, and posts
-// completed messages into the runtime.
+// readBufSize is the reader's datagram buffer: every cell train the
+// writer forms (maxTrainBytes) fits.
+const readBufSize = 64 * 1024
+
+// readLoop receives datagrams and hands each to recvDatagram.
 func (e *Endpoint) readLoop() {
-	buf := make([]byte, 64*1024)
+	buf := make([]byte, readBufSize)
 	for {
 		n, _, err := e.conn.ReadFromUDP(buf)
 		if err != nil {
@@ -622,32 +627,63 @@ func (e *Endpoint) readLoop() {
 				return // socket broke; nothing sensible to do
 			}
 		}
-		if n%atm.CellSize != 0 {
+		e.recvDatagram(buf[:n])
+	}
+}
+
+// recvDatagram processes one arriving datagram — a cell train of one or
+// more AAL5 frames — from untrusted bytes: it validates each cell and feeds
+// it to reassembly. Reader goroutine only.
+func (e *Endpoint) recvDatagram(b []byte) {
+	if len(b)%atm.CellSize != 0 {
+		e.badCells++
+		return
+	}
+	if e.dropArrival() {
+		return
+	}
+	for off := 0; off < len(b); off += atm.CellSize {
+		cell, err := atm.DecodeCell(b[off : off+atm.CellSize])
+		if err != nil {
 			e.badCells++
 			continue
 		}
-		if e.dropArrival() {
-			continue
-		}
-		for off := 0; off < n; off += atm.CellSize {
-			cell, err := atm.DecodeCell(buf[off : off+atm.CellSize])
-			if err != nil {
-				e.badCells++
-				continue
-			}
-			e.cellsRecv++
-			e.pushCell(cell)
+		e.cellsRecv++
+		e.pushCell(cell)
+	}
+}
+
+// knownVC reports whether vc is the VC some registered endpoint's channel
+// to this one rides (VCForChan with this endpoint as destination). Only
+// such VCs get receive state, so stray or forged cells cannot make the
+// per-VC maps grow without bound. Runs once per VC not yet seen.
+func (e *Endpoint) knownVC(vc atm.VC) bool {
+	n := e.net
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	for src := range n.endpoints {
+		if VCForChan(src, e.proc, wire.ChannelID(vc.VPI)) == vc {
+			return true
 		}
 	}
+	return false
 }
 
 // pushCell runs per validated cell: AAL5 reassembly per VC, then chunk
 // assembly per VC; a completed message is decoded (copying its payload out
-// of the reused assembly buffer) and posted into the runtime.
+// of the reused assembly buffer) and posted into the runtime. Cells on a VC
+// no registered peer sends on are dropped before any state is allocated,
+// and a reassembled chunk longer than the sender ever emits
+// (MaxChunk plus its header) is dropped, so one message stays within
+// MaxMessage. Both count as bad cells.
 func (e *Endpoint) pushCell(cell atm.Cell) {
 	vc := cell.Header.VC()
 	r := e.reasm[vc]
 	if r == nil {
+		if !e.knownVC(vc) {
+			e.badCells++
+			return
+		}
 		r = atm.NewReassembler(vc)
 		e.reasm[vc] = r
 	}
@@ -657,6 +693,10 @@ func (e *Endpoint) pushCell(cell atm.Cell) {
 		return
 	}
 	if !done {
+		return
+	}
+	if len(chunk) > wire.ChunkHeaderSize+MaxChunk {
+		e.badCells++
 		return
 	}
 	a := e.asm[vc]
