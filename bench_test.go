@@ -335,7 +335,7 @@ type meshClassRow struct {
 // meshRun is one measured (GOMAXPROCS, lane-mode) cell of the scale sweep.
 type meshRun struct {
 	GoMaxProcs  int            `json:"gomaxprocs"`
-	Lanes       string         `json:"lanes"` // "1" (classic) or "default"
+	Lanes       string         `json:"lanes"` // "1" (S and R threads) or "default"
 	LaneCount   int            `json:"lane_count"`
 	N           int            `json:"n"`
 	ElapsedNs   int64          `json:"elapsed_ns"`
@@ -354,8 +354,8 @@ const meshProcs = 8
 // runScaleMesh drives one mesh configuration: meshProcs processes in a
 // ring, one channel per class per direction on every adjacent pair, b.N
 // messages each way (so piggybacked control gets reverse data to ride).
-// lanes is passed straight into Config.Lanes: 1 forces the
-// classic two-system-thread path, 0 takes the sharded default
+// lanes is passed straight into Config.Lanes: 1 forces one lane on the
+// two system threads, 0 takes the sharded default
 // (min(GOMAXPROCS, 4) lanes).
 func runScaleMesh(b *testing.B, lanes int) meshRun {
 	const nProcs = meshProcs
@@ -491,8 +491,8 @@ func runScaleMesh(b *testing.B, lanes int) meshRun {
 }
 
 // BenchmarkScaleMesh is the scale axis of the channel layer, swept across
-// GOMAXPROCS {1,2,4,8} in two lane modes: the classic single send/recv
-// engine pair (lanes=1, the paper's two-system-thread model) and the
+// GOMAXPROCS {1,2,4,8} in two lane modes: one lane on the S and R system
+// threads (lanes=1, the paper's two-system-thread model) and the
 // sharded default (min(GOMAXPROCS,4) lanes). Each cell reports aggregate
 // and per-class throughput plus the standalone-vs-piggybacked control
 // split; the whole sweep — per-core-count MB/s, scaling efficiency

@@ -16,27 +16,28 @@
 //
 // The control plane piggybacks on the data plane (wire format v3): a data
 // frame carries its channel's pending credit advertisement and ack as
-// optional header words, with a short flush timer (Config.CtrlFlushDelay)
-// falling back to standalone — and coalesced — control frames when no
-// reverse data flows. The send system thread drains bursts and hands
+// optional header words, with a short (1 ms) flush timer falling back to standalone — and coalesced — control frames when no
+// reverse data flows. The send service drains bursts and hands
 // same-destination runs to carriers through transport.BatchSender (one
 // scheduler post on Mem, one writev on real TCP, MTU-bounded cell-train
 // datagrams on UDP/ATM), and Thread.RecvInto/Channel.RecvInto — the
 // paper's receive-into-buffer call — recycles pooled receive frames so
 // steady-state traffic allocates nothing.
 //
-// Threading model: the paper's one-send-one-receive system-thread pair
-// per process is the lanes=1 configuration, still the default on a
-// single-core host. On multicore (or with Config.Lanes),
-// the pair shards into min(GOMAXPROCS, 4) lane engines; every channel is
-// pinned to one lane for life (peer-hash by default, ChannelConfig.Lane
-// to choose), so FIFO within a channel, strict priority among channels
-// sharing a lane, and single-owner discipline state all survive the
-// sharding. Application sends complete inline; arrivals flow through a
-// per-lane MPSC ring (internal/ring) into the engine goroutine, which
-// runs the flow/error tiers and posts wakeups back to the cooperative
-// scheduler. Lane=1 passes the full test suite unchanged, and the suite
-// itself runs both models in CI (-cpu=1,4 under the race detector).
+// Threading model: the protocol is implemented once, as lanes, and an
+// engine driver decides what runs it. One lane runs on the paper's
+// one-send-one-receive system-thread pair per process — the default on a
+// single-core host, under every sim harness, and on every carrier
+// without a raw-frame path — so lanes=1 is the paper's model by
+// construction. On multicore (or with Config.Lanes) a frame-capable
+// carrier runs min(GOMAXPROCS, 4) lanes as engine goroutines; every
+// channel is pinned to one lane for life (peer-hash by default,
+// ChannelConfig.Lane to choose), so FIFO within a channel and
+// single-owner discipline state hold. Application sends then complete
+// inline; arrivals flow through a per-lane MPSC ring (internal/ring) into
+// the engine goroutine, which runs the flow/error tiers and posts wakeups
+// back to the cooperative scheduler. The suite runs both drivers in CI
+// (-cpu=1,4 under the race detector).
 //
 // Channels also open dynamically by signaling, the paper's switched
 // virtual circuits: Proc.OpenCall runs a blocking SETUP/CONNECT handshake

@@ -131,19 +131,12 @@ func main() {
 	printStats := func(name string, s core.ChannelStats) {
 		fmt.Printf("  channel %-5s flow=%-6s error=%-9s sent %3d msgs / %5.1f KB, delivered %3d msgs / %5.1f KB",
 			name, s.Flow, s.Error, s.Sent, float64(s.BytesSent)/1024, s.Received, float64(s.BytesReceived)/1024)
-		if s.Lane >= 0 {
-			// Sharded mode: the lane scheduler's view of this channel.
-			fmt.Printf(" [lane %d, weight %d]", s.Lane, s.Weight)
-		}
-		fmt.Println()
+		// The lane scheduler's view of this channel.
+		fmt.Printf(" [lane %d, weight %d]\n", s.Lane, s.Weight)
 	}
 	printLanes := func(name string, p *core.Proc) {
-		ls := p.LaneStats()
-		if ls == nil {
-			return // classic single-lane engine (GOMAXPROCS=1): no lane scheduler
-		}
 		fmt.Printf("%s lanes:\n", name)
-		for _, l := range ls {
+		for _, l := range p.LaneStats() {
 			fmt.Printf("  lane %d: %d channels, piggy share %4.1f%% (%d coalesced cross-channel), %d DRR rounds\n",
 				l.Lane, l.Channels, 100*l.PiggyShare, l.CtrlCoalesced, l.DRRRounds)
 		}

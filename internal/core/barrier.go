@@ -116,13 +116,13 @@ func (t *Thread) Barrier(group []ProcID) {
 		b.arrivals = 0
 		// Release everyone.
 		for _, id := range group[1:] {
-			p.sendCtrlVec(id, 0, tagBarrierRel, []uint32{b.key, gen})
+			p.sendCtrl(id, tagBarrierRel, nil, b.key, gen)
 		}
 		return
 	}
 
 	// Non-root: announce arrival, then wait for the release.
-	p.sendCtrlVec(root, 0, tagBarrier, []uint32{b.key, gen})
+	p.sendCtrl(root, tagBarrier, nil, b.key, gen)
 	if b.released[gen] {
 		delete(b.released, gen)
 		return

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/list"
 	"repro/internal/mts"
-	"repro/internal/trace"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -67,20 +66,18 @@ type ChannelConfig struct {
 	// NoErrorControl). Instances hold per-channel state and must not be
 	// shared.
 	Error ErrorControl
-	// Lane pins the channel to a specific send/recv lane in the sharded
-	// configuration: 1-based (wrapped into the lane count), 0 selects the
-	// default placement — a hash of the peer. Channels sharing a lane
-	// serialize against each other; channels on different lanes run
-	// concurrently. Either way the placement holds for the channel's
-	// lifetime. Ignored in the classic single-lane configuration.
+	// Lane pins the channel to a specific send/recv lane: 1-based (wrapped
+	// into the lane count), 0 selects the default placement — a hash of the
+	// peer. Channels sharing a lane serialize against each other; channels
+	// on different lanes run concurrently. Either way the placement holds
+	// for the channel's lifetime.
 	Lane int
 	// Weight is the channel's deficit-round-robin service weight within its
-	// lane (sharded configuration only): each round a backlogged channel
-	// earns Weight quanta of transmission, so two channels sharing a lane
-	// split bandwidth Weight-proportionally instead of the higher priority
-	// starving the lower. 0 selects Priority+1, so by default higher
-	// priority also means a larger share. The classic single-lane path
-	// keeps the paper's strict priority and ignores Weight.
+	// lane: each round a backlogged channel earns Weight quanta of
+	// transmission, so two channels sharing a lane split bandwidth
+	// Weight-proportionally instead of the higher priority starving the
+	// lower. 0 selects Priority+1, so by default higher priority also means
+	// a larger share.
 	Weight int
 }
 
@@ -132,11 +129,10 @@ type Channel struct {
 	deadErr  *PeerDeadError
 	idleOver time.Duration
 
-	// ln is the lane the channel runs on in the sharded configuration
-	// (nil classically). It is set before the channel is published to the
-	// proc's table and never changes. All mutable channel state below —
-	// discipline state, piggyback words, the closed flag — is guarded by
-	// ln.mu when set, and by the scheduler domain otherwise.
+	// ln is the lane the channel runs on. It is set before the channel is
+	// published to the proc's table and never changes. All mutable channel
+	// state below — discipline state, piggyback words, the closed flag — is
+	// guarded by ln.mu.
 	ln *lane
 
 	// Pending reverse-direction control: the receiver role's credit
@@ -150,7 +146,7 @@ type Channel struct {
 	pendCreditOn bool
 	pendAcks     []uint32
 
-	// Flush-wheel state (owning lane's lock; scheduler domain classically):
+	// Flush-wheel state (owning lane's lock):
 	// flushOn marks an entry in the wheel, flushAt its deadline, and
 	// flushDeferred that the wheel already granted one extra window waiting
 	// for an imminent same-peer data ride (bounded: the second expiry
@@ -173,8 +169,8 @@ type Channel struct {
 	// lane names the channel's trace timeline (empty without a Tracer).
 	lane string
 
-	// Counters are atomic so Stats() can be read while lane engines (or,
-	// classically, the system threads) are still updating them.
+	// Counters are atomic so Stats() can be read while lane engines are
+	// still updating them.
 	sent, received           atomic.Int64
 	bytesSent, bytesReceived atomic.Int64
 	ctrlPiggy                atomic.Int64 // control words that rode data frames
@@ -199,13 +195,13 @@ type ChannelStats struct {
 	CtrlPiggybacked, CtrlStandalone int64
 	// CtrlCoalesced counts the subset of CtrlPiggybacked that rode a
 	// *different* channel's data frame toward the same peer (lane-aware
-	// cross-channel coalescing, sharded mode only).
+	// cross-channel coalescing).
 	CtrlCoalesced int64
 	// Weight is the channel's DRR service weight and Deficit its current
-	// byte deficit in the lane scheduler (sharded mode; zero classically).
+	// byte deficit in the lane scheduler.
 	Weight  int
 	Deficit int64
-	// Lane is the index of the lane serving the channel (-1 classically).
+	// Lane is the index of the lane serving the channel.
 	Lane int
 	// Flow and Error name the channel's disciplines.
 	Flow, Error string
@@ -259,8 +255,8 @@ func (p *Proc) DefaultChannel(peer ProcID) *Channel {
 
 // addChannel builds a channel and publishes it. The channel is fully
 // initialized — lane placed, disciplines init'd — *before* it enters the
-// table: in sharded mode a foreign goroutine (routeFrame) may resolve it
-// the instant it is visible. Two goroutines may race to create the same
+// table: a foreign goroutine (routeFrame) may resolve it the instant it is
+// visible. Two goroutines may race to create the same
 // default channel; the loser's channel is discarded and the winner's
 // returned. Explicit duplicate Opens still panic.
 func (p *Proc) addChannel(key chanKey, prio, laneHint, weight int, fc FlowControl, ec ErrorControl) *Channel {
@@ -268,12 +264,10 @@ func (p *Proc) addChannel(key chanKey, prio, laneHint, weight int, fc FlowContro
 		weight = prio + 1
 	}
 	c := &Channel{p: p, peer: key.peer, id: key.id, priority: prio, weight: weight, flow: fc, errc: ec}
-	if p.sharded() {
-		c.ln = p.lanes[p.laneIndex(key.peer, laneHint)]
-		c.ln.mu.Lock()
-		c.ln.chans = append(c.ln.chans, c)
-		c.ln.mu.Unlock()
-	}
+	c.ln = p.lanes[p.laneIndex(key.peer, laneHint)]
+	c.ln.mu.Lock()
+	c.ln.chans = append(c.ln.chans, c)
+	c.ln.mu.Unlock()
 	if p.cfg.Tracer != nil {
 		c.lane = fmt.Sprintf("%s/ch%d>%d", p.cfg.TraceName, key.id, key.peer)
 	}
@@ -293,18 +287,14 @@ func (p *Proc) addChannel(key chanKey, prio, laneHint, weight int, fc FlowContro
 		// Opened after the user threads finished (unusual, but legal from
 		// an exception handler): give the disciplines their shutdown signal
 		// immediately so the process can still terminate.
-		if ln := c.lockLane(); ln != nil {
-			fc.shutdown()
-			ec.shutdown()
-			ln.serviceLocked()
-			post := ln.queueDrainLocked()
-			ln.mu.Unlock()
-			if post {
-				p.postScheduler(ln.drainFn)
-			}
-		} else {
-			fc.shutdown()
-			ec.shutdown()
+		ln := c.lockLane()
+		fc.shutdown()
+		ec.shutdown()
+		ln.serviceLocked()
+		post := ln.queueDrainLocked()
+		ln.mu.Unlock()
+		if post {
+			p.postScheduler(ln.drainFn)
 		}
 	}
 	return c
@@ -345,23 +335,9 @@ func (p *Proc) lookupChannel(peer ProcID, id ChannelID) (*Channel, bool) {
 // Channels opened through the signaling band (Proc.OpenCall) should use
 // CloseCall instead, which drains both ends and releases the VC.
 func (c *Channel) Close() {
-	if ln := c.lockLane(); ln != nil {
-		if c.closed {
-			ln.mu.Unlock()
-			return
-		}
-		c.flushCtrl()
-		c.closed = true
-		c.state.Store(chanClosed)
-		c.flow.shutdown()
-		c.errc.shutdown()
-		ln.serviceLocked()
-		ln.mu.Unlock()
-		ln.runDrain()
-		c.p.checkShutdownWake()
-		return
-	}
+	ln := c.lockLane()
 	if c.closed {
+		ln.mu.Unlock()
 		return
 	}
 	// Flush pending piggyback control first: the peer's sender role may be
@@ -372,6 +348,9 @@ func (c *Channel) Close() {
 	c.state.Store(chanClosed)
 	c.flow.shutdown()
 	c.errc.shutdown()
+	ln.serviceLocked()
+	ln.mu.Unlock()
+	ln.runDrain()
 	// Error control may have been holding the only reference that kept the
 	// system threads alive; re-check now that deferred work is failed.
 	c.p.checkShutdownWake()
@@ -400,29 +379,25 @@ func (c *Channel) sendFailErr() error {
 	return &ChannelClosedError{Local: c.p.cfg.ID, Peer: c.peer, ID: c.id}
 }
 
-// lockLane acquires the channel's lane lock, returning the locked lane
-// (nil classically).
+// lockLane acquires the channel's lane lock, returning the locked lane.
 func (c *Channel) lockLane() *lane {
-	if c.ln != nil {
-		c.ln.mu.Lock()
-	}
+	c.ln.mu.Lock()
 	return c.ln
 }
 
 // laneLock / laneUnlock guard lane-domain discipline state for the public
 // introspection accessors (WindowFlow.Outstanding, GoBackN.Retransmissions,
-// ...): on a sharded channel that state mutates under the lane lock in the
-// engine goroutines, so a reader outside the lane must take it. Both are
-// no-ops on classic channels (scheduler-domain state, scheduler-domain
-// callers) and on a nil receiver (discipline not yet bound).
+// ...): that state mutates under the lane lock — in the engine goroutines,
+// or on S and R — so a reader outside the lane must take it. Both are
+// no-ops on a nil receiver (discipline not yet bound).
 func (c *Channel) laneLock() {
 	if c != nil {
-		c.lockLane()
+		c.ln.mu.Lock()
 	}
 }
 
 func (c *Channel) laneUnlock() {
-	if c != nil && c.ln != nil {
+	if c != nil {
 		c.ln.mu.Unlock()
 	}
 }
@@ -462,26 +437,25 @@ func (c *Channel) Stats() ChannelStats {
 		BytesSent: c.bytesSent.Load(), BytesReceived: c.bytesReceived.Load(),
 		CtrlPiggybacked: c.ctrlPiggy.Load(), CtrlStandalone: c.ctrlStandalone.Load(),
 		CtrlCoalesced: c.ctrlCoalesced.Load(),
-		Weight:        c.weight, Lane: -1,
+		Weight:        c.weight, Lane: c.ln.idx,
 		Flow: c.flow.Name(), Error: c.errc.Name(),
 	}
-	if ln := c.lockLane(); ln != nil {
-		st.Deficit = c.deficit
-		st.Lane = ln.idx
-		ln.mu.Unlock()
-	}
+	ln := c.lockLane()
+	st.Deficit = c.deficit
+	ln.mu.Unlock()
 	return st
 }
 
 // ---------------------------------------------------------------------------
 // Piggybacked control
 
-// DefaultCtrlFlushDelay is the piggyback window when Config.CtrlFlushDelay
-// is zero: how long queued reverse-direction control waits for a data
-// frame before a standalone control frame flushes it. It is deliberately
-// far below every discipline timescale (retransmission timeouts, window
-// sync), so delaying control this long costs latency but never correctness.
-const DefaultCtrlFlushDelay = time.Millisecond
+// ctrlFlushDelay is the piggyback window: how long queued
+// reverse-direction control (cumulative credit advertisements, acks) waits
+// for a data frame toward the peer before a standalone control frame
+// flushes it. It is deliberately far below every discipline timescale
+// (retransmission timeouts, window sync), so delaying control this long
+// costs latency but never correctness.
+const ctrlFlushDelay = time.Millisecond
 
 // queueCredit files the flow tier's cumulative credit advertisement for
 // piggybacking on the next data frame toward the peer. The value is
@@ -506,154 +480,51 @@ func (c *Channel) queueAck(v uint32, cumulative bool) {
 }
 
 // armFlush schedules the standalone fallback for queued control by filing
-// the channel on its flush wheel — one timer per lane (or per proc,
-// classically) serves every channel with pending control, so 256 idle
-// channels cost at most one armed timer each wheel, not 256. A negative
-// CtrlFlushDelay disables the piggyback window entirely: control flushes
-// standalone immediately, the pre-piggyback behavior.
+// the channel on its lane's flush wheel — one timer per lane serves every
+// channel with pending control, so 256 idle channels cost at most one armed
+// timer each wheel, not 256.
 func (c *Channel) armFlush() {
-	if c.p.ctrlFlush < 0 {
-		c.flushCtrl()
-		return
-	}
-	if ln := c.ln; ln != nil {
-		ln.pendAddLocked(c)
-		if c.flushOn || c.closed {
-			return
-		}
-		c.flushOn = true
-		c.flushAt = time.Duration(c.p.cfg.RT.Now()) + c.p.ctrlFlush
-		ln.flushQ.Push(c)
-		ln.armWheelLocked()
-		return
-	}
+	ln := c.ln
+	ln.pendAddLocked(c)
 	if c.flushOn || c.closed {
 		return
 	}
 	c.flushOn = true
-	c.flushAt = time.Duration(c.p.cfg.RT.Now()) + c.p.ctrlFlush
-	c.p.flushQ.Push(c)
-	c.p.armWheel()
+	c.flushAt = time.Duration(c.p.cfg.RT.Now()) + ctrlFlushDelay
+	ln.flushQ.Push(c)
+	ln.armWheelLocked()
 }
 
-// armWheel schedules the classic proc-level flush wheel for its head
-// deadline. Entries enter with a constant delay, so the queue is in
-// deadline order and one armed timer covers them all.
-func (p *Proc) armWheel() {
-	if p.wheelOn || p.flushQ.Size() == 0 {
-		return
-	}
-	d := p.flushQ.Peek().flushAt - time.Duration(p.cfg.RT.Now())
-	if d < 0 {
-		d = 0
-	}
-	p.wheelOn = true
-	p.flushTimers.Add(1)
-	p.cfg.After(d, p.wheelFn)
-}
-
-// wheelFire is the classic flush wheel: flush every channel whose piggyback
-// window expired, then re-arm for the next deadline.
-func (p *Proc) wheelFire() {
-	p.flushTimers.Add(-1)
-	p.wheelOn = false
-	now := time.Duration(p.cfg.RT.Now())
-	for p.flushQ.Size() > 0 && p.flushQ.Peek().flushAt <= now {
-		c := p.flushQ.Pop()
-		c.flushOn = false
-		if c.closed {
-			continue
-		}
-		c.flushCtrl()
-	}
-	p.armWheel()
-}
-
-// flushCtrl sends whatever control is still pending as standalone frames:
+// flushCtrl queues whatever control is still pending as standalone frames:
 // one credit advertisement and one (possibly multi-word) ack frame. No-op
-// when a data frame already carried everything. In sharded mode the
-// caller holds the lane lock and is responsible for servicing the lane
-// afterwards (the frames are queued, not yet transmitted).
+// when a data frame already carried everything. The caller holds the lane
+// lock and is responsible for servicing the lane afterwards (the frames
+// are queued, not yet transmitted).
 func (c *Channel) flushCtrl() {
 	ln := c.ln
 	if c.pendCreditOn {
 		c.pendCreditOn = false
 		c.ctrlStandalone.Add(1)
-		if ln != nil {
-			ln.ctrlStandaloneL++
-		}
-		c.sendCtrl(tagFlowAck, c.pendCredit, true)
+		ln.ctrlStandaloneL++
+		ln.ctrlLocked(c.peer, c.id, tagFlowAck, nil, []uint32{c.pendCredit})
 		c.flow.creditSent(c.pendCredit)
 	}
 	if len(c.pendAcks) > 0 {
 		c.ctrlStandalone.Add(1)
-		if ln != nil {
-			ln.ctrlStandaloneL++
-		}
-		c.sendCtrlVec(tagGBNAck, c.pendAcks)
+		ln.ctrlStandaloneL++
+		ln.ctrlLocked(c.peer, c.id, tagGBNAck, nil, c.pendAcks)
 		c.pendAcks = c.pendAcks[:0]
 	}
-	if ln != nil {
-		ln.pendDropLocked(c)
-	}
+	ln.pendDropLocked(c)
 }
 
-// sendCtrl queues one control frame on this channel's transmit path: the
-// owning lane's queue in sharded mode (the caller holds the lane lock and
-// services it afterwards), the proc-wide send queue classically.
-func (c *Channel) sendCtrl(tag int, payload uint32, withPayload bool) {
-	ln := c.ln
-	if ln == nil {
-		c.p.sendCtrl(c.peer, c.id, tag, payload, withPayload)
-		return
-	}
-	m := ln.getCtrlMsg()
-	m.From = c.p.cfg.ID
-	m.To = c.peer
-	m.Channel = c.id
-	m.Tag = tag
-	if withPayload {
-		m.Data = wire.AppendUint32(m.Data[:0], payload)
-	}
-	req := ln.getReq()
-	req.m = m
-	req.ctrl = true
-	ln.pending.push(ctrlLevel, req)
-}
-
-// sendCtrlVec is sendCtrl with a multi-word payload (ack bursts).
-func (c *Channel) sendCtrlVec(tag int, words []uint32) {
-	ln := c.ln
-	if ln == nil {
-		c.p.sendCtrlVec(c.peer, c.id, tag, words)
-		return
-	}
-	m := ln.getCtrlMsg()
-	m.From = c.p.cfg.ID
-	m.To = c.peer
-	m.Channel = c.id
-	m.Tag = tag
-	for _, w := range words {
-		m.Data = wire.AppendUint32(m.Data, w)
-	}
-	req := ln.getReq()
-	req.m = m
-	req.ctrl = true
-	ln.pending.push(ctrlLevel, req)
-}
-
-// wrapTimer adapts a discipline timer callback to the channel's execution
-// domain. Classic channels run timers straight in the scheduler domain;
-// sharded ones enter the lane domain — take the lane lock, run the
-// callback, service whatever it queued (retransmissions, credit syncs),
-// then drain the scheduler-domain completions. Timer callbacks fire via
-// Config.After, which is always a scheduler-domain context, so the drain
-// is legal here.
+// wrapTimer adapts a discipline timer callback to the channel's lane: take
+// the lane lock, run the callback, service whatever it queued
+// (retransmissions, credit syncs), then drain the scheduler-domain
+// completions. Timer callbacks fire via Config.After, which is always a
+// scheduler-domain context, so the drain is legal here.
 func (c *Channel) wrapTimer(fn func()) func() {
 	ln := c.ln
-	if ln == nil {
-		return fn
-	}
 	return func() {
 		ln.mu.Lock()
 		fn()
@@ -663,31 +534,16 @@ func (c *Channel) wrapTimer(fn func()) func() {
 	}
 }
 
-// raise reports a channel-context exception: immediately in classic mode,
-// deferred through the lane drain in sharded mode (callers hold the lane
-// lock, and exception handlers are user code that must not run under it).
+// raise reports a channel-context exception, deferred through the lane
+// drain: callers hold the lane lock, and exception handlers are user code
+// that must not run under it.
 func (c *Channel) raise(err error) {
-	if ln := c.ln; ln != nil {
-		ln.errs = append(ln.errs, err)
-		return
-	}
-	c.p.exception(err)
-}
-
-// requeueRx re-queues in-order flushes from a buffering error-control
-// discipline (selective repeat) ahead of anything already waiting at the
-// channel's priority level, so release order equals sequence order.
-func (c *Channel) requeueRx(flushed []*transport.Message) {
-	if ln := c.ln; ln != nil {
-		ln.requeueRxLocked(c, flushed)
-		return
-	}
-	c.p.rxIn.prependLevel(c.priority, flushed)
+	c.ln.errs = append(c.ln.errs, err)
 }
 
 // attachPiggy moves pending control onto a departing data frame: the
-// credit word and the oldest queued ack ride for free. Runs in the send
-// system thread immediately before the frame is handed to the carrier.
+// credit word and the oldest queued ack ride for free. Runs in the lane's
+// send service immediately before the frame is handed to the carrier.
 // Slots a previous transmission already occupied are skipped (a go-back-N
 // retransmission re-sends the exact bytes it carried the first time);
 // cross-channel coalescing may then fill the free slot from a sibling
@@ -699,9 +555,7 @@ func (c *Channel) attachPiggy(m *transport.Message) {
 		m.CreditChan = c.id
 		c.pendCreditOn = false
 		c.ctrlPiggy.Add(1)
-		if ln != nil {
-			ln.ctrlPiggyL++
-		}
+		ln.ctrlPiggyL++
 		c.flow.creditSent(c.pendCredit)
 	}
 	if n := len(c.pendAcks); n > 0 && !m.HasAck {
@@ -710,11 +564,9 @@ func (c *Channel) attachPiggy(m *transport.Message) {
 		copy(c.pendAcks, c.pendAcks[1:])
 		c.pendAcks = c.pendAcks[:n-1]
 		c.ctrlPiggy.Add(1)
-		if ln != nil {
-			ln.ctrlPiggyL++
-		}
+		ln.ctrlPiggyL++
 	}
-	if ln != nil && !c.pendCreditOn && len(c.pendAcks) == 0 {
+	if !c.pendCreditOn && len(c.pendAcks) == 0 {
 		ln.pendDropLocked(c)
 	}
 }
@@ -734,19 +586,7 @@ func (c *Channel) SendTagged(t *Thread, tag, toThread int, data []byte) {
 	if t.proc != c.p {
 		panic("core: thread sending on another process's channel")
 	}
-	if c.ln != nil {
-		c.laneSend(t, tag, toThread, data)
-		return
-	}
-	m := c.p.getDataMsg()
-	m.From = c.p.cfg.ID
-	m.To = c.peer
-	m.FromThread = t.idx
-	m.ToThread = toThread
-	m.Tag = tag
-	m.Channel = c.id
-	m.Data = data
-	c.p.sendOn(c, t, m)
+	c.laneSend(t, tag, toThread, data)
 }
 
 // Recv receives the next message the peer sent on this channel to the
@@ -777,43 +617,16 @@ func (c *Channel) TryRecv(t *Thread, fromThread int) (data []byte, from Addr, ok
 	return t.tryRecvOn(c.id, fromThread, c.peer)
 }
 
-// sendOn queues m on channel c for the send system thread and parks the
-// calling thread until the transfer is handed to the network — the shared
-// body of Thread.Send and Channel.Send.
-func (p *Proc) sendOn(c *Channel, t *Thread, m *transport.Message) {
-	if pd := p.deadPeers[c.peer]; pd != nil {
-		// Fail fast on a declared-dead peer: see laneSend. A send after
-		// the failure sweep must not feed a resurrected channel.
-		p.putDataMsg(m)
-		p.exception(pd)
-		return
-	}
-	if c.sendUnavailable() {
-		p.putDataMsg(m)
-		p.exception(c.sendFailErr())
-		return
-	}
-	p.traceThread(t, trace.Idle)
-	req := p.getReq()
-	req.m = m
-	req.ch = c
-	req.caller = t.mt
-	p.enqueueSend(req)
-	t.mt.Park("ncs send")
-	p.traceThread(t, trace.Compute)
-	p.sent.Add(1)
-}
-
 // ---------------------------------------------------------------------------
 // Priority queues
 
 // prioQueue fans one logical queue into per-priority head-indexed FIFOs:
 // push files an item under its level, pop drains the highest occupied
-// level first. This is how the send and receive system threads service
-// higher-priority channels ahead of bulk traffic. A bitmask tracks which
-// levels are occupied, so the hot-path empty/pop pair is O(1) (bits.Len16
-// finds the highest set bit) instead of scanning all nine levels on every
-// system-thread iteration.
+// level first. It is a lane's receive queue: arrivals on higher-priority
+// channels are processed ahead of bulk traffic, control above them all. A
+// bitmask tracks which levels are occupied, so the hot-path empty/pop pair
+// is O(1) (bits.Len16 finds the highest set bit) instead of scanning all
+// nine levels on every iteration.
 type prioQueue[T any] struct {
 	lvl  [numSendLevels]list.FIFO[T]
 	mask uint16 // bit i set ⇔ lvl[i] non-empty

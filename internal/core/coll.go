@@ -335,62 +335,21 @@ func (g *Group) traceIdle() {
 // Fan-out send
 
 // fanSend transmits one message per member index in idxs — the shared
-// payload when datas is nil, datas[pos] otherwise — enqueuing every copy
-// before parking the caller *once* until the send loop has handed the last
-// one to the carrier. Compared with serial Sends this amortizes the
-// park/unpark pair across the whole fan and lets the carrier's batch path
-// see the run; the payload must stay stable until the wakeup, which is
-// exactly what the single park guarantees (every copy is serialized before
-// the last request retires).
+// payload when datas is nil, datas[pos] otherwise — staging every copy on
+// its channel's lane (under that lane's lock, from the lane freelists)
+// before parking the caller *once* until the lanes have handed the last one
+// to the carrier. Each touched lane is then serviced once, so a lane sees
+// its whole share of the fan as one burst and the carrier's batch path
+// fires; compared with serial Sends this also amortizes the park/unpark
+// pair across the fan. The payload must stay stable until the wakeup,
+// which is exactly what the single park guarantees (every copy is
+// serialized before the last request retires). fanLeft is scheduler-domain
+// state, decremented by the drains this thread runs inline or that run
+// behind its park.
 func (g *Group) fanSend(t *Thread, tag int, idxs []int, datas [][]byte, shared []byte) {
 	if len(idxs) == 0 {
 		return
 	}
-	p := g.p
-	if p.sharded() {
-		g.fanSendSharded(t, tag, idxs, datas, shared)
-		return
-	}
-	p.traceThread(t, trace.Idle)
-	t.fanLeft = len(idxs)
-	for pos, ki := range idxs {
-		c := g.chans[ki]
-		if c.closed {
-			panic(fmt.Sprintf("core(proc %d): group send on closed channel %d to proc %d", p.cfg.ID, c.id, c.peer))
-		}
-		m := p.getDataMsg()
-		m.From = p.cfg.ID
-		m.To = c.peer
-		m.FromThread = t.idx
-		m.ToThread = g.members[ki].Thread
-		m.Tag = tag
-		m.Channel = c.id
-		if datas != nil {
-			m.Data = datas[pos]
-		} else {
-			m.Data = shared
-		}
-		req := p.getReq()
-		req.m = m
-		req.ch = c
-		req.fan = t
-		p.enqueueSend(req)
-	}
-	for t.fanLeft > 0 {
-		t.mt.Park("ncs send")
-	}
-	p.traceThread(t, trace.Compute)
-	p.sent.Add(int64(len(idxs)))
-}
-
-// fanSendSharded is fanSend over per-lane engines: every copy is staged on
-// its channel's lane (under that lane's lock, from the lane freelists),
-// then each touched lane is serviced once — so a lane sees its whole share
-// of the fan as one burst and the carrier's batch path still fires. The
-// caller's counter-park loop is identical to the classic path: fanLeft is
-// scheduler-domain state, decremented by the drains this thread runs inline
-// (runDrain) or that post behind its park.
-func (g *Group) fanSendSharded(t *Thread, tag int, idxs []int, datas [][]byte, shared []byte) {
 	p := g.p
 	p.traceThread(t, trace.Idle)
 	t.fanLeft = len(idxs)

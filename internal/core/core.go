@@ -34,19 +34,32 @@
 //
 // # Threading model
 //
-// With Config.Lanes = 1 (the GOMAXPROCS=1 default) the
-// process runs the paper's exact model: one send and one receive system
-// thread at top priority, strict 9-level priority across channels,
-// per-channel flush timers. At lane counts above one the pair shards into
-// per-lane engines (lane.go), and each lane engine is an adaptive
-// scheduler:
+// A process's send and receive work runs in *lanes* (lane.go), one engine
+// implementation executed by one of three drivers:
+//
+//   - One lane (the GOMAXPROCS=1 default, every sim harness with
+//     RecvCharge or ArrivalPollDelay, every carrier without a raw-frame
+//     path): the paper's exact model. One send and one receive system
+//     thread, S and R, at top priority in the mts scheduler.
+//   - Several lanes on a transport.FrameCarrier in real mode: one engine
+//     goroutine per lane, with senders servicing their lane inline.
+//   - Several lanes under Config.VirtualTime: the same engine body as
+//     event callbacks on a discrete-event engine's clock — no lane
+//     goroutines at all. Events and the threads they dispatch execute
+//     strictly one at a time in the engine's goroutine, ordered by the
+//     event queue's (time, seq) heap, so a run is deterministic: the same
+//     workload and seed reproduce the timeline byte for byte. Code in this
+//     package must therefore never let ordering depend on Go map iteration
+//     or goroutine scheduling (see Proc.channelsOrdered).
+//
+// Every lane is an adaptive scheduler:
 //
 //   - Deficit round robin across the lane's data channels (drr.go):
 //     ChannelConfig.Weight (default priority+1) × 2 KB of service per
 //     round, control strictly above all data, higher priority still
 //     preempting within the round — bounding starvation instead of
 //     permitting it.
-//   - Lane-aware control coalescing (lane.go): an expiring CtrlFlushDelay
+//   - Lane-aware control coalescing (lane.go): an expiring piggyback
 //     window first tries to ride a sibling channel's queued or imminent
 //     data frame toward the same peer, and flush timers share one
 //     per-lane wheel instead of one timer per channel.
@@ -58,25 +71,9 @@
 // Proc.LaneStats reports the per-lane view: piggyback share, coalesced
 // control words, and DRR rounds.
 //
-// # Execution modes
-//
-// The lane engines run in one of two modes, selected per Proc:
-//
-//   - Real mode (default): each lane engine is a goroutine; timers are
-//     whatever Config.After supplies (wall-clock by default). This is what
-//     every live transport and benchmark uses.
-//   - Virtual mode (Config.VirtualTime, requires Config.After): the same
-//     lane code runs as event callbacks on a discrete-event engine's clock
-//     — no lane goroutines at all. Events and the threads they dispatch
-//     execute strictly one at a time in the engine's goroutine, ordered by
-//     the event queue's (time, seq) heap, so a run is deterministic: the
-//     same workload and seed reproduce the timeline byte for byte. Code in
-//     this package must therefore never let ordering depend on Go map
-//     iteration or goroutine scheduling (see Proc.channelsOrdered).
-//
-// NewVirtualMesh builds the standard virtual-mode arrangement — N procs on
+// NewVirtualMesh builds the standard virtual-time arrangement — N procs on
 // one engine over a frame-granular fabric — and TimelineHash fingerprints
-// a run for determinism assertions. The seam between the modes is
+// a run for determinism assertions. The seam between the drivers is
 // engineDriver in lane.go.
 package core
 
@@ -88,11 +85,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/list"
 	"repro/internal/mts"
 	"repro/internal/trace"
 	"repro/internal/transport"
-	"repro/internal/wire"
 	"repro/internal/work"
 )
 
@@ -141,21 +136,12 @@ type Config struct {
 	After func(d time.Duration, fn func())
 	// VirtualTime declares that the proc executes on a discrete-event loop:
 	// After is the simulation engine's virtual timer and every internal
-	// engine (lane steps, drain hand-offs) must ride
-	// it as clock events instead of goroutines, tickers, or PostAsync.
-	// This is what lets the sharded lane hot path run under a sim harness —
-	// N procs on one shared clock with a deterministic timeline — instead
-	// of falling back to the classic two-thread path. Requires After;
-	// NewVirtualMesh sets both.
+	// engine (lane steps, drain hand-offs) must ride it as clock events
+	// instead of goroutines, tickers, or PostAsync. This is what lets
+	// several lanes run under a sim harness — N procs on one shared clock
+	// with a deterministic timeline — instead of one lane on the S and R
+	// system threads. Requires After; NewVirtualMesh sets both.
 	VirtualTime bool
-	// CtrlFlushDelay bounds how long a channel's pending reverse-direction
-	// control (cumulative credit advertisements, acks) may wait to
-	// piggyback on a data frame before a standalone control frame flushes
-	// it. 0 selects DefaultCtrlFlushDelay; negative disables the piggyback
-	// window entirely — every control word flushes standalone the moment
-	// it is produced (the pre-v3 wire behavior, useful for experiments
-	// isolating the piggyback effect).
-	CtrlFlushDelay time.Duration
 	// ArrivalPollDelay models Approach 1's receive discovery latency: the
 	// NCS receive system thread polls p4 underneath (§4.2 — NCS_recv is
 	// built on p4_messages_available/p4_recv), so a message that arrives
@@ -170,20 +156,20 @@ type Config struct {
 	// "<TraceName>/t<idx>".
 	Tracer    *trace.Recorder
 	TraceName string
-	// Lanes selects the sharded multi-core hot path (see lane.go): the
-	// number of combined send/recv lane engines, 0 defaulting to
-	// min(GOMAXPROCS, 4). A resolved count of 1 — always the case on a
-	// single-core GOMAXPROCS — keeps the paper's classic two-system-thread
-	// path exactly. Sharding also requires a transport.FrameCarrier
-	// endpoint and engages in real mode (no RecvCharge, ArrivalPollDelay,
-	// or custom After hook) or under a VirtualTime discrete-event loop;
-	// the classic sim harnesses' RecvCharge/poll machinery remains
-	// scheduler-domain by construction and keeps the classic path.
+	// Lanes is the number of send/recv lanes (see lane.go), 0 defaulting
+	// to min(GOMAXPROCS, 4). More than one lane needs a
+	// transport.FrameCarrier endpoint and either real mode (no RecvCharge,
+	// ArrivalPollDelay, or custom After hook) or a VirtualTime
+	// discrete-event loop; otherwise — and always at a resolved count of
+	// 1, the case on a single-core GOMAXPROCS — the proc runs one lane on
+	// the paper's send and receive system threads, where the sim
+	// harnesses' RecvCharge and poll hooks land on scheduler threads by
+	// construction.
 	Lanes int
-	// LaneHash overrides the default peer→lane placement hash (sharded
-	// mode only): a channel with no explicit ChannelConfig.Lane lands on
-	// lane LaneHash(peer) mod lane count, and stays there. Benchmarks use
-	// it to reproduce skewed placements.
+	// LaneHash overrides the default peer→lane placement hash: a channel
+	// with no explicit ChannelConfig.Lane lands on lane LaneHash(peer) mod
+	// lane count, and stays there. Benchmarks use it to reproduce skewed
+	// placements.
 	LaneHash func(ProcID) int
 	// Admission judges incoming signaled call setups (Proc.OpenCall at the
 	// peer): nil admits everything. Rejections travel back to the caller
@@ -216,14 +202,13 @@ type Config struct {
 	Heartbeat Heartbeat
 }
 
-// sendReq is one queued transfer for the send system thread.
+// sendReq is one queued transfer for a lane's send scheduler.
 type sendReq struct {
 	m *transport.Message
-	// ch is the channel the message travels on; nil for control traffic
-	// and raw retransmissions, which bypass admission.
+	// ch is the channel the message travels on; nil for control traffic.
 	ch *Channel
-	// caller is parked until the send thread finishes the transfer; nil
-	// for internally generated traffic (acks, retransmissions).
+	// caller is parked until the lane hands the transfer to the carrier;
+	// nil for internally generated traffic (acks, retransmissions).
 	caller *mts.Thread
 	// raw skips flow/error processing: the message was already stamped
 	// (a go-back-N retransmission must keep its original sequence).
@@ -239,10 +224,10 @@ type sendReq struct {
 	// flushed (or failed), since the shared payload must stay stable until
 	// the last copy is serialized.
 	fan *Thread
-	// done, when non-nil, is the sharded inline-send completion flag
-	// (Thread.sendDone): the sender is still inside lane.send holding the
+	// done, when non-nil, is the inline-send completion flag
+	// (Thread.sendDone): the sender is still inside laneSend holding the
 	// lane lock, so completion just sets the flag instead of waking anyone.
-	// Mutually exclusive with caller (see lane.send).
+	// Mutually exclusive with caller (see laneSend).
 	done *bool
 }
 
@@ -269,57 +254,22 @@ type recvWaiter struct {
 type Proc struct {
 	cfg Config
 
-	sendThread *mts.Thread
-	recvThread *mts.Thread
-
-	// sendQ and rxIn are per-priority head-indexed FIFO queues: the send
-	// and receive system threads service higher-priority channels first,
-	// with control traffic (credits, acks, retransmissions) above every
-	// data level.
-	sendQ prioQueue[*sendReq]
-	rxIn  prioQueue[*transport.Message]
-
 	// store holds delivered-but-unclaimed data messages.
 	store   []*transport.Message
 	waiters []*recvWaiter
 
-	// reqFree, waiterFree, ctrlFree, and dataFree recycle the per-call
-	// bookkeeping structs of the send/recv hot paths. All access happens in
-	// the scheduler domain, so no locking is needed. dataFree recycles
-	// sender-side data Message structs: every carrier serializes before
-	// Send returns and both error-control disciplines buffer private
-	// copies, so once flushRun has handed a data frame to the endpoint
-	// nothing references the struct and it can carry the next Send.
-	reqFree    []*sendReq
+	// waiterFree recycles receive waiters (scheduler domain only).
 	waiterFree []*recvWaiter
-	ctrlFree   []*transport.Message
-	dataFree   []*transport.Message
 
-	// sendRun and batchMsgs are the send loop's burst scratch: the
-	// same-destination run under accumulation and the message vector
-	// handed to a transport.BatchSender. Only the send system thread
-	// touches them.
-	sendRun   []*sendReq
-	batchMsgs []*transport.Message
-
-	// ctrlFlush is the resolved CtrlFlushDelay.
-	ctrlFlush time.Duration
-
-	// Classic-mode flush wheel: one timer covers every channel whose
-	// piggyback window is running (sharded lanes each carry their own, see
-	// lane.go). flushTimers counts armed flush timers process-wide in both
-	// modes — the per-lane-wheel invariant a test asserts.
-	flushQ      list.FIFO[*Channel]
-	wheelOn     bool
-	wheelFn     func()
+	// flushTimers counts armed lane flush-wheel timers process-wide — the
+	// per-lane-wheel invariant a test asserts.
 	flushTimers atomic.Int64
 
 	// channels holds every open channel, keyed by (peer, channel ID).
 	// Default channels (ID 0) are created lazily from the Config
 	// templates; explicit channels come from Open. chanMu guards the map
-	// in both modes (in sharded mode foreign goroutines resolve channels
-	// in routeFrame); channel *state* is guarded by the owning lane's
-	// mutex in sharded mode and by the scheduler domain classically.
+	// (foreign goroutines resolve channels in routeFrame); channel *state*
+	// is guarded by the owning lane's mutex.
 	chanMu   sync.RWMutex
 	channels map[chanKey]*Channel
 
@@ -328,16 +278,15 @@ type Proc struct {
 	closing  atomic.Bool
 	started  bool
 
-	// Sharded hot path (lane.go); empty in the classic configuration.
-	// laneDriver is the execution seam: goroutine engines in real mode,
-	// vclock event callbacks in virtual mode.
+	// Send/recv engine (lane.go). laneDriver is the execution seam: the S
+	// and R system threads, goroutine engines, or vclock event callbacks.
+	// postAfter records that Config.After is a harness timer (a
+	// discrete-event engine), where nothing drains Runtime.PostAsync.
 	lanes      []*lane
 	laneDriver engineDriver
-	laneThread *mts.Thread
-	laneStop   chan struct{}
-	laneWG     sync.WaitGroup
 	laneBS     transport.BatchSender
 	shutdownFn func()
+	postAfter  bool
 
 	// bars holds root-collected barrier state machines keyed by group
 	// membership hash (see barrier.go); groupSeq numbers Groups for their
@@ -364,9 +313,9 @@ type Proc struct {
 	acceptQ   []pendingSetup
 	acceptOn  bool
 
-	// Stats. Atomic: in sharded mode the stats-reading side (tests,
-	// benchmarks) races lane engines updating channel counters, and these
-	// proc-wide totals are read the same way.
+	// Stats. Atomic: the stats-reading side (tests, benchmarks) races lane
+	// engines updating channel counters, and these proc-wide totals are
+	// read the same way.
 	sent, received atomic.Int64
 
 	// Lifecycle balance counters (signal.go): paired ledgers that must
@@ -381,9 +330,9 @@ type Proc struct {
 	statLateCtrl                         atomic.Int64
 }
 
-// New builds an NCS process: the paper's NCS_init. System threads (send,
-// receive, and whatever the flow/error controllers need) are created
-// immediately at the highest priority.
+// New builds an NCS process: the paper's NCS_init. Its system threads
+// (send and receive, or the lane keeper) are created immediately at the
+// highest priority.
 func New(cfg Config) *Proc {
 	if cfg.Endpoint.Proc() != cfg.ID {
 		panic(fmt.Sprintf("core: id %d != endpoint proc %d", cfg.ID, cfg.Endpoint.Proc()))
@@ -398,7 +347,7 @@ func New(cfg Config) *Proc {
 	if cfg.After == nil {
 		cfg.After = cfg.RT.After
 	}
-	p := &Proc{cfg: cfg}
+	p := &Proc{cfg: cfg, postAfter: customAfter}
 	if cfg.VirtualTime {
 		// Virtual-time runs assert exact timer balance at quiesce
 		// (Proc.Leaks): wrap the injected timer so every arm and fire is
@@ -414,11 +363,6 @@ func New(cfg Config) *Proc {
 			})
 		}
 	}
-	p.ctrlFlush = cfg.CtrlFlushDelay
-	if p.ctrlFlush == 0 {
-		p.ctrlFlush = DefaultCtrlFlushDelay
-	}
-	p.wheelFn = p.wheelFire
 	p.channels = make(map[chanKey]*Channel)
 	p.onException = func(err error) {
 		// Wrap rather than format: a recovering thread (chaos harnesses,
@@ -427,24 +371,25 @@ func New(cfg Config) *Proc {
 		panic(fmt.Errorf("core(proc %d): unhandled exception: %w", cfg.ID, err))
 	}
 
-	// Sharded mode engages only when it can be transparent: more than one
-	// resolved lane, a frame-capable carrier, and none of the hooks that
-	// assume all protocol work happens in the scheduler domain (receive
-	// charging, arrival polls). A custom After hook normally means a
-	// classic sim harness and keeps the two-thread path, unless the harness
+	// Several lanes engage only when they can be transparent: a
+	// frame-capable carrier and none of the hooks that assume all protocol
+	// work happens on scheduler threads (receive charging, arrival polls).
+	// A custom After hook normally means a sim harness, unless the harness
 	// declares VirtualTime — then the lanes themselves run as events on
-	// that timer (see engineDriver in lane.go).
+	// that timer. Everything else runs one lane on the S and R threads.
 	lanes := resolveLanes(cfg.Lanes)
 	fc, frames := cfg.Endpoint.(transport.FrameCarrier)
-	if lanes > 1 && frames && cfg.RecvCharge == nil && cfg.ArrivalPollDelay == nil && (!customAfter || cfg.VirtualTime) {
-		p.initLanes(lanes, fc)
-		p.startHeartbeat()
-		return p
+	switch {
+	case lanes > 1 && frames && cfg.RecvCharge == nil && cfg.ArrivalPollDelay == nil && cfg.VirtualTime:
+		p.initLanes(lanes, &virtualDriver{after: p.cfg.After})
+		fc.SetFrameHandler(p.routeFrame)
+	case lanes > 1 && frames && cfg.RecvCharge == nil && cfg.ArrivalPollDelay == nil && !customAfter:
+		p.initLanes(lanes, &goroutineDriver{})
+		fc.SetFrameHandler(p.routeFrame)
+	default:
+		p.initLanes(1, &schedDriver{})
+		cfg.Endpoint.SetHandler(p.routeMsg)
 	}
-
-	cfg.Endpoint.SetHandler(p.deliver)
-	p.sendThread = cfg.RT.Create(fmt.Sprintf("ncs%d-send", cfg.ID), mts.PrioSystem, p.sendLoop)
-	p.recvThread = cfg.RT.Create(fmt.Sprintf("ncs%d-recv", cfg.ID), mts.PrioSystem, p.recvLoop)
 	p.startHeartbeat()
 	return p
 }
@@ -492,9 +437,9 @@ type Thread struct {
 	// wakeup regardless of scheduling order.
 	blockPermit bool
 	// fanLeft counts this thread's in-flight fan-out requests (coll.go's
-	// fanSend); the thread parks until the send loop retires the last one.
+	// fanSend); the thread parks until the lane retires the last one.
 	fanLeft int
-	// sendDone is the sharded inline-send completion flag (lane.send): a
+	// sendDone is the inline-send completion flag (laneSend): a
 	// thread has at most one outstanding send, so one reusable field
 	// avoids a per-send heap escape. Written only under the lane lock.
 	sendDone bool
@@ -545,42 +490,32 @@ func (p *Proc) userDone() {
 		return
 	}
 	p.closing.Store(true)
-	if p.sharded() {
-		for _, c := range p.channelsOrdered() {
-			ln := c.lockLane()
-			c.flushCtrl()
-			c.flow.shutdown()
-			c.errc.shutdown()
-			ln.serviceLocked()
-			ln.mu.Unlock()
-			ln.runDrain()
-		}
-		p.wakeIfIdle(p.laneThread, "lanes idle")
-		return
-	}
 	for _, c := range p.channelsOrdered() {
-		// Control still waiting for a piggyback ride must leave before
-		// the system threads may exit: the peer's sender role may be
-		// blocked on exactly this credit or ack, and the flush timer may
-		// never fire once the runtime winds down.
+		// Control still waiting for a piggyback ride must leave before the
+		// system threads may exit: the peer's sender role may be blocked on
+		// exactly this credit or ack, and the flush timer may never fire
+		// once the runtime winds down.
+		ln := c.lockLane()
 		c.flushCtrl()
 		c.flow.shutdown()
 		c.errc.shutdown()
+		ln.serviceLocked()
+		ln.mu.Unlock()
+		ln.runDrain()
 	}
 	// Wake the system threads only if they are parked at their idle
-	// points; a thread parked mid-transfer (wire drain, flow credit) will
-	// notice closing when it next returns to its idle check.
-	p.wakeIfIdle(p.sendThread, "send idle")
-	p.wakeIfIdle(p.recvThread, "recv idle")
+	// points; one parked mid-transfer (a charged CPU burst) notices
+	// closing when it next returns to its idle check.
+	p.laneDriver.wakeIdle(p)
 }
 
 // postScheduler defers fn into the scheduler domain from a context that may
 // hold a lane lock. In real mode that is Runtime.PostAsync (runs between
-// dispatches); under a virtual-time loop nothing ever drains the PostAsync
-// queue — the sim engine only Dispatches — so fn becomes a zero-delay clock
-// event instead.
+// dispatches); under a sim harness's timer nothing ever drains the
+// PostAsync queue — the sim engine only Dispatches — so fn becomes a
+// zero-delay clock event instead.
 func (p *Proc) postScheduler(fn func()) {
-	if p.cfg.VirtualTime {
+	if p.postAfter {
 		p.cfg.After(0, fn)
 		return
 	}
@@ -614,39 +549,15 @@ func (p *Proc) wakeIfIdle(t *mts.Thread, idleReason string) {
 	}
 }
 
-// mayShutdown reports whether system threads are free to exit: user threads
-// are done and no channel's error control has anything awaiting
-// acknowledgement.
-func (p *Proc) mayShutdown() bool {
-	if !p.closing.Load() {
-		return false
-	}
-	for _, c := range p.channels {
-		if c.errc.pending() != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // checkShutdownWake nudges the system threads toward exit once the last
 // in-flight acknowledgement lands (or is abandoned) after the user threads
-// have already finished.
+// have already finished. It may run under a lane lock (a discipline
+// processing the last ack), and the shutdown predicate takes lane locks, so
+// the predicate runs from the scheduler domain instead.
 func (p *Proc) checkShutdownWake() {
-	if p.sharded() {
-		// May run under a lane lock (an engine processing the last ack);
-		// the shutdown predicate itself takes lane locks, so evaluate it
-		// from the scheduler domain instead.
-		if p.closing.Load() {
-			p.postScheduler(p.shutdownFn)
-		}
-		return
+	if p.closing.Load() {
+		p.postScheduler(p.shutdownFn)
 	}
-	if !p.mayShutdown() {
-		return
-	}
-	p.wakeIfIdle(p.sendThread, "send idle")
-	p.wakeIfIdle(p.recvThread, "recv idle")
 }
 
 func (p *Proc) traceThread(t *Thread, s trace.State) {
@@ -670,10 +581,10 @@ func (p *Proc) traceSys(name string, s trace.State) {
 // ---------------------------------------------------------------------------
 // Sending
 
-// Send transmits data to (toProc, toThread): the paper's NCS_send. It wakes
-// the send system thread and parks the calling thread until the transfer is
-// handed to the network; meanwhile other threads of this process run — the
-// overlap mechanism of Figure 4.
+// Send transmits data to (toProc, toThread): the paper's NCS_send. It
+// queues the transfer on the lane and parks the calling thread until the
+// transfer is handed to the network; meanwhile other threads of this
+// process run — the overlap mechanism of Figure 4.
 func (t *Thread) Send(toThread int, toProc ProcID, data []byte) {
 	t.SendTagged(0, toThread, toProc, data)
 }
@@ -685,348 +596,7 @@ func (t *Thread) SendTagged(tag int, toThread int, toProc ProcID, data []byte) {
 	if tag < 0 {
 		panic("core: negative tags are reserved")
 	}
-	p := t.proc
-	c := p.DefaultChannel(toProc)
-	if c.ln != nil {
-		c.laneSend(t, tag, toThread, data)
-		return
-	}
-	m := p.getDataMsg()
-	m.From = p.cfg.ID
-	m.To = toProc
-	m.FromThread = t.idx
-	m.ToThread = toThread
-	m.Tag = tag
-	m.Data = data
-	p.sendOn(c, t, m)
-}
-
-// getReq draws a sendReq from the freelist (or allocates); putReq returns
-// one once the send loop has finished with it. Deferred requests (owned by
-// a flow/error controller awaiting re-enqueue) are recycled only after
-// they finally transmit.
-func (p *Proc) getReq() *sendReq {
-	if n := len(p.reqFree); n > 0 {
-		req := p.reqFree[n-1]
-		p.reqFree = p.reqFree[:n-1]
-		return req
-	}
-	return &sendReq{}
-}
-
-func (p *Proc) putReq(req *sendReq) {
-	*req = sendReq{}
-	p.reqFree = append(p.reqFree, req)
-}
-
-// failSend completes a gated send without transmitting it: the request is
-// recycled and its caller (a thread parked in Send) unblocks. Disciplines
-// use it at shutdown so a channel closing with deferred requests never
-// leaves a Send hung forever; the caller cannot observe the failure
-// directly (Send returns no error), so the failure is reported through
-// the proc's exception handler.
-func (p *Proc) failSend(req *sendReq) {
-	caller, fan := req.caller, req.fan
-	if !req.ctrl && req.m != nil {
-		p.putDataMsg(req.m)
-	}
-	p.putReq(req)
-	if caller != nil {
-		p.cfg.RT.Unblock(caller, false)
-	}
-	if fan != nil {
-		p.fanDone(fan)
-	}
-}
-
-// failGated fails a batch of gated sends at channel teardown and reports
-// them once through the exception handler — the shared tail of every
-// discipline's shutdown.
-func (p *Proc) failGated(c *Channel, reqs []*sendReq, gate string) {
-	if len(reqs) == 0 {
-		return
-	}
-	if ln := c.ln; ln != nil {
-		// Lane domain: recycle under the held lane lock, defer wakeups and
-		// the exception to the drain.
-		for _, req := range reqs {
-			ln.failSendLocked(req)
-		}
-		if c.deadErr != nil {
-			ln.errs = append(ln.errs, fmt.Errorf("core: channel %d to proc %d closed with %d sends still gated by %s: %w", c.id, c.peer, len(reqs), gate, c.deadErr))
-		} else {
-			ln.errs = append(ln.errs, fmt.Errorf("core: channel %d to proc %d closed with %d sends still gated by %s", c.id, c.peer, len(reqs), gate))
-		}
-		return
-	}
-	for _, req := range reqs {
-		p.failSend(req)
-	}
-	if c.deadErr != nil {
-		p.exception(fmt.Errorf("core: channel %d to proc %d closed with %d sends still gated by %s: %w", c.id, c.peer, len(reqs), gate, c.deadErr))
-		return
-	}
-	p.exception(fmt.Errorf("core: channel %d to proc %d closed with %d sends still gated by %s", c.id, c.peer, len(reqs), gate))
-}
-
-// enqueueSend queues a request under its channel's priority level and wakes
-// the send thread if it is parked at its idle point. If it is instead
-// parked mid-transfer (wire drain, flow credit, a charged CPU burst), it
-// will find the queue when it loops — a targeted wake there would corrupt
-// whatever it is blocked on. Safe from any scheduler-domain context
-// (threads, event handlers, timers). Control traffic (credits, acks,
-// barrier messages) drains above every data priority: it is what reopens
-// stalled windows, so no amount of queued bulk data may starve it. Raw
-// retransmissions, though they bypass admission, carry full data payloads
-// and drain at their own channel's priority — a lossy bulk channel's
-// go-back-N bursts must not preempt a high-priority stream. They cannot
-// starve behind gated data either: admission never blocks this queue (a
-// non-admitted request is deferred, not waited on).
-func (p *Proc) enqueueSend(req *sendReq) {
-	level := ctrlLevel
-	if req.m.Tag >= 0 && req.ch != nil {
-		level = req.ch.priority
-	}
-	if req.ch != nil {
-		if ln := req.ch.ln; ln != nil {
-			// Sharded: the caller (a discipline releasing a deferred
-			// request, a retransmission timer) already holds the channel's
-			// lane lock; the request joins the lane's queue and is serviced
-			// by whoever completes the current lane entry (see lane.go).
-			ln.pending.push(level, req)
-			return
-		}
-	}
-	p.sendQ.push(level, req)
-	p.wakeIfIdle(p.sendThread, "send idle")
-}
-
-// sendCtrl queues a pooled control message: tag < 0, an optional uint32
-// payload, addressed to the given peer and channel. The message and its
-// 4-byte payload buffer recycle once the endpoint has serialized them, so
-// a steady stream of credits/acks allocates nothing. Flow- and error-
-// control payloads are *cumulative* counters (credit advertisements,
-// cumulative acks) compared wrap-safely with wire.SeqNewer at the
-// receiver, so those control frames survive lossy carriers: any later
-// frame supersedes a dropped one.
-func (p *Proc) sendCtrl(to ProcID, ch ChannelID, tag int, payload uint32, withPayload bool) {
-	m := p.getCtrlMsg()
-	m.From = p.cfg.ID
-	m.To = to
-	m.Channel = ch
-	m.Tag = tag
-	if withPayload {
-		m.Data = wire.AppendUint32(m.Data[:0], payload)
-	}
-	req := p.getReq()
-	req.m = m
-	req.ctrl = true
-	p.enqueueSend(req)
-}
-
-// sendCtrlVec is sendCtrl with a multi-word payload: one control frame
-// carries a whole batch of queued acknowledgements (4 bytes each) — the
-// flush path's framing for selective-repeat ack bursts. Consumers iterate
-// the words with forEachCtrlWord.
-func (p *Proc) sendCtrlVec(to ProcID, ch ChannelID, tag int, words []uint32) {
-	if p.sharded() {
-		// Scheduler-domain control toward a peer (barrier arrivals and
-		// releases): route through the peer's default-channel lane.
-		ln := p.DefaultChannel(to).lockLane()
-		m := ln.getCtrlMsg()
-		m.From = p.cfg.ID
-		m.To = to
-		m.Channel = ch
-		m.Tag = tag
-		for _, w := range words {
-			m.Data = wire.AppendUint32(m.Data, w)
-		}
-		req := ln.getReq()
-		req.m = m
-		req.ctrl = true
-		ln.pending.push(ctrlLevel, req)
-		ln.serviceLocked()
-		ln.mu.Unlock()
-		ln.runDrain()
-		return
-	}
-	m := p.getCtrlMsg()
-	m.From = p.cfg.ID
-	m.To = to
-	m.Channel = ch
-	m.Tag = tag
-	for _, w := range words {
-		m.Data = wire.AppendUint32(m.Data, w)
-	}
-	req := p.getReq()
-	req.m = m
-	req.ctrl = true
-	p.enqueueSend(req)
-}
-
-// getCtrlMsg draws a control message from the freelist; its Data buffer is
-// reset to zero length but keeps its backing array.
-func (p *Proc) getCtrlMsg() *transport.Message {
-	if n := len(p.ctrlFree); n > 0 {
-		m := p.ctrlFree[n-1]
-		p.ctrlFree = p.ctrlFree[:n-1]
-		return m
-	}
-	return &transport.Message{Data: make([]byte, 0, 8)}
-}
-
-func (p *Proc) putCtrlMsg(m *transport.Message) {
-	data := m.Data[:0]
-	*m = transport.Message{Data: data}
-	p.ctrlFree = append(p.ctrlFree, m)
-}
-
-// getDataMsg draws a sender-side data message from the freelist. Unlike
-// control messages its Data field aliases the caller's payload, so put
-// clears it entirely (pinning nothing between sends).
-func (p *Proc) getDataMsg() *transport.Message {
-	if n := len(p.dataFree); n > 0 {
-		m := p.dataFree[n-1]
-		p.dataFree = p.dataFree[:n-1]
-		return m
-	}
-	return &transport.Message{}
-}
-
-func (p *Proc) putDataMsg(m *transport.Message) {
-	*m = transport.Message{}
-	p.dataFree = append(p.dataFree, m)
-}
-
-// maxSendBurst bounds one same-destination run handed to a carrier's
-// batch path, so a saturating bulk stream cannot delay its own callers'
-// wakeups (or a priority preemption point) indefinitely.
-const maxSendBurst = 64
-
-// sendLoop is the send system thread (Figure 8's "S"). It drains the
-// priority queue highest level first — control traffic, then channels in
-// descending priority order — a whole burst per wakeup: admitted requests
-// accumulate into same-destination runs that go to the carrier through
-// transport.BatchSender in one call when it offers batching, so
-// per-message carrier costs (locks, wakeups, syscalls) amortize across
-// the burst.
-func (p *Proc) sendLoop(st *mts.Thread) {
-	bs, batched := p.cfg.Endpoint.(transport.BatchSender)
-	for {
-		if p.sendQ.empty() {
-			if p.mayShutdown() {
-				p.traceSysClose("send")
-				return
-			}
-			p.traceSys("send", trace.Idle)
-			st.Park("send idle")
-			continue
-		}
-		p.traceSys("send", trace.Comm)
-		run := p.sendRun[:0]
-		for !p.sendQ.empty() {
-			req := p.sendQ.pop()
-			// Data messages pass their channel's flow-control and
-			// error-control admission; a controller that cannot admit now
-			// takes ownership of the request and re-enqueues it later, so
-			// this loop never blocks on data while control traffic
-			// (credits, acks, retransmissions — raw requests bypass
-			// admission) is waiting behind it.
-			if req.m.Tag >= 0 && !req.raw {
-				if req.ch.sendUnavailable() {
-					// The channel closed while this request sat queued
-					// (Send raced Close): fail it exactly like shutdown
-					// failed the already-deferred ones, before any
-					// discipline can admit it into a torn-down window.
-					// Read the channel before failSend recycles the
-					// request.
-					c := req.ch
-					p.failSend(req)
-					p.exception(c.sendFailErr())
-					continue
-				}
-				if !req.flowOK {
-					if !req.ch.flow.admit(req) {
-						continue
-					}
-					req.flowOK = true
-				}
-				if !req.ch.errc.admit(req) {
-					continue
-				}
-			}
-			// Reverse-direction control rides along: a departing data
-			// frame (first transmission or retransmission alike) picks up
-			// its channel's pending credit advertisement and ack.
-			if req.m.Tag >= 0 && req.ch != nil {
-				req.ch.attachPiggy(req.m)
-			}
-			if len(run) > 0 && (req.m.To != run[len(run)-1].m.To || len(run) >= maxSendBurst) {
-				run = p.flushRun(st, bs, run)
-			}
-			run = append(run, req)
-			if !batched {
-				run = p.flushRun(st, bs, run)
-			}
-		}
-		p.sendRun = p.flushRun(st, bs, run)
-	}
-}
-
-// flushRun hands one same-destination run to the carrier — a single
-// SendBatch call when it offers batching — then completes the requests:
-// channel counters, caller wakeups, freelist recycling. It returns the
-// emptied run slice for reuse.
-func (p *Proc) flushRun(st *mts.Thread, bs transport.BatchSender, run []*sendReq) []*sendReq {
-	if len(run) == 0 {
-		return run
-	}
-	if p.cfg.Tracer != nil {
-		for _, req := range run {
-			p.traceChan(req.ch, trace.Comm)
-		}
-	}
-	if bs != nil && len(run) > 1 {
-		ms := p.batchMsgs[:0]
-		for _, req := range run {
-			ms = append(ms, req.m)
-		}
-		bs.SendBatch(st, ms)
-		for i := range ms {
-			ms[i] = nil
-		}
-		p.batchMsgs = ms[:0]
-	} else {
-		for _, req := range run {
-			p.cfg.Endpoint.Send(st, req.m)
-		}
-	}
-	for i, req := range run {
-		if req.ch != nil && !req.raw {
-			req.ch.sent.Add(1)
-			req.ch.bytesSent.Add(int64(len(req.m.Data)))
-		}
-		p.traceChan(req.ch, trace.Idle)
-		if req.caller != nil {
-			p.cfg.RT.Unblock(req.caller, false)
-		}
-		if req.fan != nil {
-			p.fanDone(req.fan)
-		}
-		// The transfer is on the wire and the caller woken: nothing
-		// references the request anymore, so it (and its pooled message —
-		// the endpoint serialized it, and the error-control disciplines
-		// buffer private copies for retransmission) returns to the
-		// freelist.
-		if req.ctrl {
-			p.putCtrlMsg(req.m)
-		} else {
-			p.putDataMsg(req.m)
-		}
-		p.putReq(req)
-		run[i] = nil
-	}
-	return run[:0]
+	t.proc.DefaultChannel(toProc).laneSend(t, tag, toThread, data)
 }
 
 // fanDone retires one request of a fan-out send (coll.go's fanSend): the
@@ -1148,115 +718,6 @@ func (p *Proc) matches(m *transport.Message, ch ChannelID, tag, fromThread int, 
 	return true
 }
 
-// rxLevel places an arriving message in the receive priority queue:
-// control above all data, data under its channel's priority (an unopened
-// channel files at the bottom; recvLoop raises the exception).
-func (p *Proc) rxLevel(m *transport.Message) int {
-	if m.Tag < 0 {
-		return ctrlLevel
-	}
-	p.chanMu.RLock()
-	c, ok := p.channels[chanKey{peer: m.From, id: m.Channel}]
-	p.chanMu.RUnlock()
-	if ok {
-		return c.priority
-	}
-	return 0
-}
-
-// deliver is the transport handler: it queues the raw message for the
-// receive system thread and wakes it (Figure 8's "R").
-func (p *Proc) deliver(m *transport.Message) {
-	p.rxIn.push(p.rxLevel(m), m)
-	if p.cfg.ArrivalPollDelay != nil {
-		if d := p.cfg.ArrivalPollDelay(); d > 0 {
-			// Poll-discovered arrival: wake the receive thread when the
-			// underlying p4 poll would notice it. An earlier wake (a
-			// later arrival during compute, or a natural switch) finds
-			// this message too — polls inspect the whole queue.
-			p.cfg.After(d, func() { p.wakeIfIdle(p.recvThread, "recv idle") })
-			return
-		}
-	}
-	p.wakeIfIdle(p.recvThread, "recv idle")
-}
-
-// recvLoop is the receive system thread: it demultiplexes arrivals by
-// channel into control handling, parked waiters, or the message store,
-// draining higher-priority channels first.
-func (p *Proc) recvLoop(rt *mts.Thread) {
-	for {
-		if p.rxIn.empty() {
-			if p.mayShutdown() {
-				p.traceSysClose("recv")
-				return
-			}
-			p.traceSys("recv", trace.Idle)
-			rt.Park("recv idle")
-			continue
-		}
-		m := p.rxIn.pop()
-		p.traceSys("recv", trace.Comm)
-
-		// Control traffic is consumed by the channel it belongs to; its
-		// payload is read on the spot, so a pooled frame recycles
-		// immediately — steady credit/ack streams allocate no rx buffers.
-		if m.Tag < 0 {
-			p.handleControl(m)
-			m.Release()
-			continue
-		}
-		c, ok := p.lookupChannel(m.From, m.Channel)
-		if !ok {
-			p.exception(fmt.Errorf("data on unopened channel %d from proc %d", m.Channel, m.From))
-			m.Release()
-			continue
-		}
-		// Piggybacked control applies before anything else: it is the
-		// peer's receiver-role state for this channel and stays valid
-		// whether this data copy turns out fresh, duplicate, or addressed
-		// to a closed channel (standalone control on closed channels is
-		// consumed too, and both words are supersede-safe). A sharded peer
-		// may have coalesced a *sibling* channel's word onto this frame;
-		// the word's stamped channel routes it.
-		if m.HasCredit {
-			cc := c
-			if m.CreditChan != m.Channel {
-				cc, _ = p.lookupChannel(m.From, m.CreditChan)
-			}
-			if cc != nil {
-				cc.flow.onCredit(m.Credit)
-			}
-		}
-		if m.HasAck {
-			ca := c
-			if m.AckChan != m.Channel {
-				ca, _ = p.lookupChannel(m.From, m.AckChan)
-			}
-			if ca != nil {
-				ca.errc.onAck(m.Ack)
-			}
-		}
-		if c.closed {
-			// This end tore the channel down; without teardown signaling
-			// the peer may still be transmitting. Drop, and let its error
-			// control give up as against a dead process.
-			p.exception(fmt.Errorf("data on closed channel %d from proc %d", m.Channel, m.From))
-			m.Release()
-			continue
-		}
-		// Error control may suppress duplicates / out-of-order arrivals.
-		if !c.errc.onData(m) {
-			continue
-		}
-		c.received.Add(1)
-		c.bytesReceived.Add(int64(len(m.Data)))
-		// Flow control acknowledges the delivery (credit return).
-		c.flow.onDelivered(m)
-		p.dispatchData(rt, m)
-	}
-}
-
 // waiterMatches tests an arriving message against a parked waiter's
 // pattern: the usual single-source pattern, or the any-of set used by
 // out-of-order collection.
@@ -1284,7 +745,8 @@ func addrIndex(set []Addr, m *transport.Message) int {
 	return -1
 }
 
-// dispatchData hands a data message to a parked waiter or stores it.
+// dispatchData hands a data message to a parked waiter or stores it. rt is
+// the thread draining the delivery (R under schedDriver).
 func (p *Proc) dispatchData(rt *mts.Thread, m *transport.Message) {
 	for i, w := range p.waiters {
 		if p.waiterMatches(w, m) {
@@ -1298,33 +760,6 @@ func (p *Proc) dispatchData(rt *mts.Thread, m *transport.Message) {
 		}
 	}
 	p.store = append(p.store, m)
-}
-
-func (p *Proc) handleControl(m *transport.Message) {
-	switch m.Tag {
-	case tagFlowAck, tagGBNAck:
-		// A closed channel stays in the table and still consumes control:
-		// error control needs late acks to finish draining its in-flight
-		// window, and cumulative credit advertisements are idempotent. A
-		// channel nobody has open is almost always one a signaled close
-		// just finalized out of the table — drop the late word and count.
-		c, ok := p.lookupChannel(m.From, m.Channel)
-		if !ok {
-			p.statLateCtrl.Add(1)
-			return
-		}
-		if m.Tag == tagFlowAck {
-			c.flow.onControl(m)
-		} else {
-			c.errc.onControl(m)
-		}
-	case tagBarrier, tagBarrierRel:
-		p.onBarrierMsg(m)
-	case tagSigSetup, tagSigConnect, tagSigReject, tagSigRelease, tagSigRelComp, tagSigBeat:
-		p.onSigMsg(m)
-	default:
-		p.exception(fmt.Errorf("unknown control tag %d from proc %d", m.Tag, m.From))
-	}
 }
 
 // ---------------------------------------------------------------------------
@@ -1365,7 +800,7 @@ func (t *Thread) Unblock(other *Thread) {
 
 // Bcast sends data to every address in list: the paper's NCS_bcast
 // (1-to-many group communication). Transfers are queued in list order
-// through the send system thread. This is the linear O(N) path — the
+// through the lane. This is the linear O(N) path — the
 // sender serializes one copy per destination; Group.Bcast is the
 // logarithmic tree alternative (and degenerates to this shape at
 // Fanout >= N, which is how the scale benches A/B the two).

@@ -478,7 +478,7 @@ func TestExceptionHandler(t *testing.T) {
 	})
 	procs[0].TCreate("evil", mts.PrioDefault, func(th *Thread) {
 		// Hand-craft a bogus control message.
-		th.proc.sendCtrl(1, 0, -99, 0, false)
+		th.proc.sendCtrl(1, -99, nil)
 		th.Send(0, 1, []byte("legit"))
 	})
 	eng.Run()

@@ -5,16 +5,16 @@ import (
 	"repro/internal/wire"
 )
 
-// This file is the intra-lane service discipline: deficit round robin (DRR)
-// across a lane's data channels, with control kept strictly above. The
-// classic single-lane path keeps the paper's strict 9-level priority pop
-// untouched (prioQueue in channel.go); inside a sharded lane, strict
-// priority would let one saturating high-priority channel starve a bulk
+// This file is the lane send scheduler — the only one, whatever driver
+// runs the lane: deficit round robin (DRR) across the lane's data
+// channels, with control kept strictly above. Strict priority across data
+// channels would let one saturating high-priority channel starve a bulk
 // channel on the same lane forever. DRR bounds that: each channel earns
 // quantum·weight bytes of service per round, so a priority-0 bulk class
 // still drains at its weight share while a priority-6 stream saturates.
+// Receive processing stays strictly prioritized (prioQueue in channel.go).
 //
-// Two properties carry over from the strict scheduler:
+// Two properties carry over from a strict priority scheduler:
 //
 //   - Control first. Credits, acks, retransmission re-queues, and barrier
 //     control pop before any data frame — they are what reopen stalled
@@ -41,10 +41,9 @@ const drrQuantum = 2048
 // same units the per-lane load accounting uses.
 func reqCost(req *sendReq) int64 { return int64(wire.HeaderSize + len(req.m.Data)) }
 
-// laneSched is one lane's send scheduler. It is push/pop/empty-compatible
-// with the prioQueue it replaced: push files a request under a level
-// (ctrlLevel selects the strict control band, anything else the owning
-// channel's DRR queue), pop returns the next request to service.
+// laneSched is one lane's send scheduler: push files a request under a
+// level (ctrlLevel selects the strict control band, anything else the
+// owning channel's DRR queue), pop returns the next request to service.
 //
 // All state is guarded by the owning lane's mutex.
 type laneSched struct {

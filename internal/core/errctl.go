@@ -103,8 +103,7 @@ type GoBackN struct {
 	// Receiver side.
 	expected uint32
 
-	// fireFn is the pre-bound (and, on sharded channels, lane-wrapped)
-	// timer callback, so each re-arm schedules without a fresh closure.
+	// fireFn is the pre-bound, lane-wrapped timer callback, so each re-arm schedules without a fresh closure.
 	fireFn func()
 
 	retrans   int64
@@ -208,11 +207,11 @@ func (g *GoBackN) timerFire() {
 	for _, m := range g.unacked {
 		cp := *m
 		g.retrans++
-		req := g.p.getReq()
+		req := g.ch.ln.getReq()
 		req.m = &cp
 		req.ch = g.ch
 		req.raw = true
-		g.p.enqueueSend(req)
+		g.ch.enqueue(req)
 	}
 	g.armTimer()
 }
@@ -275,7 +274,7 @@ func (g *GoBackN) releaseDeferred() {
 	for len(g.deferred) > 0 && g.nextSeq-g.base < uint32(g.Window) {
 		req := g.deferred[0]
 		g.deferred = g.deferred[1:]
-		g.p.enqueueSend(req)
+		g.ch.enqueue(req)
 	}
 }
 
@@ -289,7 +288,7 @@ func (g *GoBackN) queued() int  { return len(g.deferred) }
 func (g *GoBackN) shutdown() {
 	reqs := g.deferred
 	g.deferred = nil
-	g.p.failGated(g.ch, reqs, "go-back-N")
+	g.ch.failGated(reqs, "go-back-N")
 }
 
 // abandon drops the unacked window: the peer is dead, retransmitting is

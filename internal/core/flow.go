@@ -22,7 +22,7 @@ import (
 // while data is gated, otherwise two peers with full windows toward each
 // other could deadlock waiting for credits neither can send. A discipline
 // that cannot admit a request queues it internally and re-enqueues it via
-// Proc.enqueueSend when state changes.
+// Channel.enqueue when state changes.
 type FlowControl interface {
 	// Name identifies the discipline.
 	Name() string
@@ -187,7 +187,7 @@ func (w *WindowFlow) init(c *Channel) {
 		w.advertEvery = 1
 	}
 	// Pre-bound so each re-arm schedules without a fresh closure; wrapped
-	// so sharded channels run it in their lane's lock domain.
+	// so it runs in the channel's lane lock domain.
 	w.syncFn = c.wrapTimer(w.syncFire)
 }
 
@@ -222,27 +222,23 @@ func (w *WindowFlow) onDelivered(m *transport.Message) {
 	w.armSync()
 }
 
-// advertise flushes the cumulative delivered count to the sender
-// immediately. Absolute, not incremental: losing this frame costs nothing
-// once any later one (or a sync tick's re-advertisement) gets through.
-// On a sharded lane "immediately" means at the end of the current service
-// pass: a data frame queued toward the peer in the same pass carries the
-// advertisement for free (the cross-channel coalescing that keeps the
-// piggyback share high at lane counts above one), and only a count still
-// pending after the pass goes standalone. Classically the standalone
-// frame flushes right here, as before.
+// advertise flushes the cumulative delivered count to the sender at the
+// end of the current lane service pass. Absolute, not incremental: losing
+// this frame costs nothing once any later one (or a sync tick's
+// re-advertisement) gets through. A data frame queued toward the peer in
+// the same pass carries the advertisement for free (the cross-channel
+// coalescing that keeps the piggyback share high), and only a count still
+// pending after the pass goes standalone.
 func (w *WindowFlow) advertise() {
-	w.c.pendCredit = w.delivered
-	w.c.pendCreditOn = true
-	if ln := w.c.ln; ln != nil {
-		ln.pendAddLocked(w.c)
-		if !w.c.mustFlushOn {
-			w.c.mustFlushOn = true
-			ln.mustFlush = append(ln.mustFlush, w.c)
-		}
-		return
+	c := w.c
+	c.pendCredit = w.delivered
+	c.pendCreditOn = true
+	ln := c.ln
+	ln.pendAddLocked(c)
+	if !c.mustFlushOn {
+		c.mustFlushOn = true
+		ln.mustFlush = append(ln.mustFlush, c)
 	}
-	w.c.flushCtrl()
 }
 
 // creditSent implements FlowControl: a queued advertisement left the
@@ -274,7 +270,7 @@ func (w *WindowFlow) release() {
 		req := w.deferred.Pop()
 		w.sent++
 		req.flowOK = true
-		w.c.p.enqueueSend(req)
+		w.c.enqueue(req)
 	}
 }
 
@@ -313,7 +309,7 @@ func (w *WindowFlow) shutdown() {
 	for w.deferred.Size() > 0 {
 		reqs = append(reqs, w.deferred.Pop())
 	}
-	w.c.p.failGated(w.c, reqs, "window flow")
+	w.c.failGated(reqs, "window flow")
 }
 
 // Outstanding returns how many messages are sent but not yet credited;
@@ -455,7 +451,7 @@ func (r *RateFlow) timerFire() {
 		r.tokens -= need
 		req := r.deferred.Pop()
 		req.flowOK = true
-		r.c.p.enqueueSend(req)
+		r.c.enqueue(req)
 	}
 	r.armTimer()
 }
@@ -475,7 +471,7 @@ func (r *RateFlow) shutdown() {
 	for r.deferred.Size() > 0 {
 		reqs = append(reqs, r.deferred.Pop())
 	}
-	r.c.p.failGated(r.c, reqs, "rate pacing")
+	r.c.failGated(reqs, "rate pacing")
 }
 
 // Tokens returns the current bucket level (after refill); for tests.

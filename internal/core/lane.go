@@ -14,38 +14,44 @@ import (
 	"repro/internal/wire"
 )
 
-// This file is the sharded multi-core hot path: the per-proc send and
-// receive system threads of the paper's Figure 8 split into independent
-// *lanes*, each owning its own priority queues, freelists, wakeup, and
-// engine goroutine. A channel is pinned to exactly one lane for its
-// lifetime (default: hash of the peer, overridable via ChannelConfig.Lane),
-// so strict priority and per-channel FIFO ordering are preserved within a
-// channel while independent channels run on separate cores.
+// This file is the NCS send/receive engine: the paper's Figure 8 send and
+// receive system threads, organized as *lanes*. Each lane owns its own send
+// scheduler, receive queue, freelists, flush wheel, and wakeup. A channel is
+// pinned to exactly one lane for its lifetime (default: hash of the peer,
+// overridable via ChannelConfig.Lane), so priority and per-channel FIFO
+// ordering hold within a channel while channels on different lanes run on
+// separate cores.
 //
-// Execution domains. Classic NCS has one domain — the mts scheduler, where
-// exactly one thread runs at a time. Sharded NCS adds one domain per lane:
+// The lane code is one; an engineDriver decides what executes it. A proc
+// with one lane runs it on the paper's two system threads, S and R, in the
+// mts scheduler (schedDriver), so lanes=1 is the paper's model by
+// construction. More lanes run as engine goroutines (goroutineDriver) or,
+// under a discrete-event loop, as clock events (virtualDriver).
+//
+// Execution domains:
 //
 //   - Lane domain: everything a channel owns (discipline state, piggyback
 //     words, counters' non-atomic neighbors, the lane's queues and
-//     freelists) is guarded by lane.mu. Senders enter it inline (lane.send
-//     locks, enqueues, services, unlocks — no system-thread hop at all);
-//     arriving frames enter through a multi-producer ring drained by the
-//     lane engine goroutine; timers enter through Channel.wrapTimer.
+//     freelists) is guarded by lane.mu. Timers enter it through
+//     Channel.wrapTimer. Under the goroutine and virtual drivers senders
+//     service it inline (laneSend locks, enqueues, services, unlocks — no
+//     system-thread hop at all) and arriving frames enter through a
+//     multi-producer ring drained by the engine; under schedDriver S does
+//     all servicing and R all receive processing.
 //   - Scheduler domain: thread wakeups, receive matching (waiters/store),
-//     barrier state, and exception handlers stay where they always were.
-//     Lane code never calls them directly — it appends to the lane's
-//     out-queues (wake/fans/deliver/errs) and schedules a drain via
-//     Runtime.PostAsync, which runs between dispatches.
+//     barrier and signaling state, and exception handlers. Lane code never
+//     calls them under lane.mu — it appends to the lane's out-queues
+//     (wake/fans/deliver/errs) and a drain runs them once the lock is
+//     released: inline when the lane code already runs in the scheduler
+//     domain, through Runtime.PostAsync from an engine goroutine.
 //
 // Lock order: Proc.chanMu (channel table) before lane.mu, never the
-// reverse. Lane engines never block while holding lane.mu (PostAsync and
-// ring pushes are non-blocking by construction), so a scheduler-domain
-// thread waiting on lane.mu always makes progress.
+// reverse. Nothing blocks or parks while holding lane.mu (PostAsync and
+// ring pushes are non-blocking by construction, and S releases the lock
+// around carrier calls that park it), so a scheduler-domain thread waiting
+// on lane.mu always makes progress.
 //
-// Lane count defaults to min(GOMAXPROCS, 4); a single lane keeps the
-// classic two-system-thread path byte for byte (New only builds lanes when
-// the resolved count exceeds one), which is the paper-faithful baseline the
-// benches A/B against.
+// Lane count defaults to min(GOMAXPROCS, 4).
 
 // rxItem is one arriving message routed to a lane: the decoded frame plus
 // its channel, resolved in the *sender's* goroutine so the engine never
@@ -74,7 +80,7 @@ type lane struct {
 
 	// pending is the lane's send scheduler — control strictly first, then
 	// deficit round robin across the lane's data channels (see drr.go);
-	// rxq is its receive priority queue (the classic rxIn).
+	// rxq is its receive priority queue.
 	pending laneSched
 	rxq     prioQueue[rxItem]
 
@@ -102,13 +108,17 @@ type lane struct {
 	ctrlStandaloneL int64
 	ctrlCoalescedL  int64
 
-	// Per-lane freelists: the classic proc-level pools, sharded so lanes
-	// never contend on recycling.
+	// Per-lane freelists of the send path's bookkeeping, so lanes never
+	// contend on recycling. dataFree holds sender-side data Message
+	// structs: every carrier serializes before Send returns and both
+	// error-control disciplines buffer private copies, so once a data frame
+	// is handed to the carrier nothing references the struct.
 	reqFree  []*sendReq
 	ctrlFree []*transport.Message
 	dataFree []*transport.Message
 
-	// Burst scratch, as in the classic send loop.
+	// Burst scratch: the same-destination run under accumulation and the
+	// message vector handed to a transport.BatchSender.
 	sendRun   []*sendReq
 	batchMsgs []*transport.Message
 	rxScratch []rxItem
@@ -131,45 +141,66 @@ type lane struct {
 	drainFn   func()
 	traceName string
 
-	// Virtual-mode driver state (nil vd in real mode, where ring.Push wakes
-	// the engine goroutine directly): stepArmed collapses redundant kicks
-	// into one pending step event on the shared clock.
+	// Driver state. Under the goroutine driver both are nil (ring.Push
+	// wakes the engine goroutine directly). vd is the virtual driver, whose
+	// stepArmed collapses redundant kicks into one pending step event on the
+	// shared clock; sd is the scheduler-domain driver's S/R thread pair.
 	vd        *virtualDriver
 	stepFn    func()
 	stepArmed atomic.Bool
+	sd        *schedDriver
 }
 
 // ---------------------------------------------------------------------------
 // Engine drivers
 //
-// engineDriver is the seam between a lane's protocol logic and its execution
-// vehicle. Real mode (the default) runs each lane engine as a goroutine that
-// sleeps on its MPSC ring; virtual mode runs the same engine body as event
-// callbacks scheduled on the discrete-event loop's vclock heap, so a whole
-// mesh of procs shares one deterministic clock. The per-lane kick() is the
-// hot-path half of the seam: producers call it after every ring push, and it
-// compiles down to a single nil check in real mode.
-
+// engineDriver is the seam between the lanes' protocol logic and what
+// executes it. New picks one per proc:
+//
+//   - schedDriver (one lane): the paper's S and R system threads, mts
+//     threads at system priority in the scheduler domain. It is the only
+//     driver under the sim harnesses' RecvCharge/ArrivalPollDelay hooks and
+//     on carriers without a raw-frame path.
+//   - goroutineDriver (real mode, several lanes, a FrameCarrier): one
+//     engine goroutine per lane sleeping on its MPSC ring.
+//   - virtualDriver (Config.VirtualTime, several lanes): the goroutine
+//     engine's body as event callbacks on the discrete-event loop's clock,
+//     so a whole mesh of procs shares one deterministic timeline.
+//
+// The per-lane kick() is the hot-path half of the seam: producers call it
+// after every ring push, and under the goroutine driver it is two nil
+// checks.
 type engineDriver interface {
-	// start launches (real) or wires (virtual) one lane's engine.
-	start(ln *lane)
-	// stop tears the engines down at shutdown; runs in the scheduler domain.
-	stop(p *Proc)
+	// start creates the proc's system threads and launches (goroutine) or
+	// wires (virtual, sched) every lane's engine.
+	start(p *Proc)
+	// wakeIdle wakes the proc's system threads parked at their idle points
+	// so they re-check the shutdown predicate; scheduler domain.
+	wakeIdle(p *Proc)
 }
 
-// goroutineDriver is today's behavior: one engine goroutine per lane,
-// woken by ring pushes, stopped through laneStop.
-type goroutineDriver struct{}
-
-func (goroutineDriver) start(ln *lane) {
-	ln.p.laneWG.Add(1)
-	go ln.engine()
+// goroutineDriver runs one engine goroutine per lane, woken by ring pushes.
+// A keeper system thread (startKeeper) holds the runtime open until the proc
+// may shut down, then closes stop and joins the engines.
+type goroutineDriver struct {
+	keeper *mts.Thread
+	stop   chan struct{}
+	wg     sync.WaitGroup
 }
 
-func (goroutineDriver) stop(p *Proc) {
-	close(p.laneStop)
-	p.laneWG.Wait()
+func (d *goroutineDriver) start(p *Proc) {
+	d.stop = make(chan struct{})
+	d.keeper = p.startKeeper(func() {
+		close(d.stop)
+		d.wg.Wait()
+	})
+	for _, ln := range p.lanes {
+		d.wg.Add(1)
+		go ln.engine(d)
+	}
 }
+
+func (d *goroutineDriver) wakeIdle(p *Proc) { p.wakeIfIdle(d.keeper, "lanes idle") }
 
 // virtualDriver runs lane engines as events on the injected Clock: a kick
 // schedules one zero-delay step on the vclock heap, and the step body runs
@@ -178,31 +209,94 @@ func (goroutineDriver) stop(p *Proc) {
 // by the event queue's (time, seq) order — the determinism contract of
 // core.NewVirtualMesh.
 type virtualDriver struct {
-	after func(d time.Duration, fn func())
+	after  func(d time.Duration, fn func())
+	keeper *mts.Thread
 }
 
-func (d *virtualDriver) start(ln *lane) {
-	ln.vd = d
-	ln.stepFn = ln.step
+func (d *virtualDriver) start(p *Proc) {
+	// Nothing to join at shutdown: no goroutines exist, and a stale armed
+	// step firing after it finds empty queues and does nothing.
+	d.keeper = p.startKeeper(nil)
+	for _, ln := range p.lanes {
+		ln.vd = d
+		ln.stepFn = ln.step
+	}
 }
 
-func (d *virtualDriver) stop(p *Proc) {
-	// Nothing to join: no goroutines were started, and a stale armed step
-	// firing after shutdown finds empty queues and does nothing.
+func (d *virtualDriver) wakeIdle(p *Proc) { p.wakeIfIdle(d.keeper, "lanes idle") }
+
+// schedDriver runs the proc's single lane on the paper's two system
+// threads (Figure 8): S services the send scheduler and is the only caller
+// of the carrier, R processes arrivals one at a time. Both are mts threads
+// in the scheduler domain, so a carrier that charges CPU by parking S and a
+// RecvCharge that parks R model the 1995 host exactly as the paper's
+// threads do. Everything else — a sending thread, a timer — only queues
+// work and wakes S (serviceLocked), and the carrier's handler only queues
+// arrivals and wakes R (kick).
+type schedDriver struct {
+	s, r  *mts.Thread
+	wakeR func()
+	// exiting latches the shutdown decision: once S or R has seen the
+	// predicate hold, the other exits at its next idle point even if a late
+	// arrival (a peer's last credit) has since entered the ring — R, the
+	// only thread that could drain it, may already be gone.
+	exiting bool
 }
 
-// kick notifies the lane's driver that work entered the rx ring. Real mode
-// needs nothing — ring.Push already wakes the sleeping engine goroutine —
-// so this is one predictable branch on the hot path.
+// idleExit reports whether a system thread at its idle point should exit:
+// the proc may shut down (or its sibling already decided so). On exit it
+// closes the thread's trace row and wakes the sibling to do the same.
+func (d *schedDriver) idleExit(p *Proc, row string, sibling *mts.Thread, siblingIdle string) bool {
+	if !d.exiting && !p.mayShutdown() {
+		return false
+	}
+	d.exiting = true
+	p.traceSysClose(row)
+	p.wakeIfIdle(sibling, siblingIdle)
+	return true
+}
+
+func (d *schedDriver) start(p *Proc) {
+	ln := p.lanes[0]
+	ln.sd = d
+	ln.traceName = p.cfg.TraceName + "/send"
+	d.wakeR = func() { p.wakeIfIdle(d.r, "recv idle") }
+	d.s = p.cfg.RT.Create(fmt.Sprintf("ncs%d-send", p.cfg.ID), mts.PrioSystem, ln.sendSys)
+	d.r = p.cfg.RT.Create(fmt.Sprintf("ncs%d-recv", p.cfg.ID), mts.PrioSystem, ln.recvSys)
+}
+
+func (d *schedDriver) wakeIdle(p *Proc) {
+	p.wakeIfIdle(d.s, "send idle")
+	p.wakeIfIdle(d.r, "recv idle")
+}
+
+// kick notifies the lane's driver that work entered the rx ring. The
+// goroutine driver needs nothing — ring.Push already wakes the sleeping
+// engine goroutine. Under schedDriver it wakes R, after
+// Config.ArrivalPollDelay when one is set: a poll-discovered arrival is
+// noticed when the underlying p4 poll would notice it, and an earlier wake
+// (a later arrival, a natural switch) finds this message too.
 func (ln *lane) kick() {
-	if ln.vd != nil && ln.stepArmed.CompareAndSwap(false, true) {
-		ln.vd.after(0, ln.stepFn)
+	if ln.vd != nil {
+		if ln.stepArmed.CompareAndSwap(false, true) {
+			ln.vd.after(0, ln.stepFn)
+		}
+		return
+	}
+	if sd := ln.sd; sd != nil {
+		p := ln.p
+		if pd := p.cfg.ArrivalPollDelay; pd != nil {
+			if d := pd(); d > 0 {
+				p.cfg.After(d, sd.wakeR)
+				return
+			}
+		}
+		sd.wakeR()
 	}
 }
 
 // ---------------------------------------------------------------------------
-// Lane-local freelists (mirrors of the proc-level ones in core.go; callers
-// hold ln.mu).
+// Lane-local freelists (callers hold ln.mu).
 
 func (ln *lane) getReq() *sendReq {
 	if n := len(ln.reqFree); n > 0 {
@@ -250,17 +344,9 @@ func (ln *lane) putDataMsg(m *transport.Message) {
 // ---------------------------------------------------------------------------
 // Proc-side setup
 
-// sharded reports whether the proc runs the multi-lane hot path.
-func (p *Proc) sharded() bool { return len(p.lanes) > 0 }
-
-// Lanes returns the number of active send/recv lanes (1 in the classic
+// Lanes returns the number of send/recv lanes (1 on the paper's
 // two-system-thread configuration).
-func (p *Proc) Lanes() int {
-	if len(p.lanes) == 0 {
-		return 1
-	}
-	return len(p.lanes)
-}
+func (p *Proc) Lanes() int { return len(p.lanes) }
 
 // laneIndex picks the lane for a channel: an explicit ChannelConfig.Lane
 // pins it (1-based, wrapped), otherwise Config.LaneHash (when set) or the
@@ -280,11 +366,9 @@ func (p *Proc) laneIndex(peer ProcID, hint int) int {
 	return int(uint32(peer)) % len(p.lanes)
 }
 
-// initLanes builds the lane engines; called from New when the resolved lane
-// count exceeds one and the endpoint can deliver raw frames.
-func (p *Proc) initLanes(n int, fc transport.FrameCarrier) {
+// initLanes builds n lanes and starts them on driver d; called from New.
+func (p *Proc) initLanes(n int, d engineDriver) {
 	p.laneBS, _ = p.cfg.Endpoint.(transport.BatchSender)
-	p.laneStop = make(chan struct{})
 	p.lanes = make([]*lane, n)
 	for i := range p.lanes {
 		ln := &lane{p: p, idx: i, rx: ring.New[rxItem]()}
@@ -296,34 +380,28 @@ func (p *Proc) initLanes(n int, fc transport.FrameCarrier) {
 		}
 		p.lanes[i] = ln
 	}
-	p.shutdownFn = func() {
-		if p.mayShutdownSharded() {
-			p.wakeIfIdle(p.laneThread, "lanes idle")
-		}
-	}
-	fc.SetFrameHandler(p.routeFrame)
-	p.laneThread = p.cfg.RT.Create(fmt.Sprintf("ncs%d-lanes", p.cfg.ID), mts.PrioSystem, p.laneLoop)
-	if p.cfg.VirtualTime {
-		p.laneDriver = &virtualDriver{after: p.cfg.After}
-	} else {
-		p.laneDriver = goroutineDriver{}
-	}
-	for _, ln := range p.lanes {
-		p.laneDriver.start(ln)
-	}
+	p.shutdownFn = p.shutdownCheck
+	p.laneDriver = d
+	d.start(p)
 }
 
-// routeFrame is the transport's frame handler: it decodes the frame and
-// resolves its channel — and the channels of any cross-channel
-// piggybacked control words — in the *calling* goroutine (a peer's lane
-// engine or scheduler thread), then hands the message to the owning
-// lane's ring. The engine itself therefore never takes the channel-table
-// lock.
+// routeFrame is the FrameCarrier handler: it decodes the frame in the
+// *calling* goroutine (a peer's lane engine or scheduler thread) and routes
+// it like any other arrival.
 func (p *Proc) routeFrame(fb *wire.Buf) {
 	m, err := wire.UnmarshalPooled(fb)
 	if err != nil {
 		panic("core: self-produced message failed to decode: " + err.Error())
 	}
+	p.routeMsg(m)
+}
+
+// routeMsg resolves an arriving message's channel — and the channels of any
+// cross-channel piggybacked control words — then hands it to the owning
+// lane's ring and kicks the lane. It is the carrier's Handler under
+// schedDriver and the tail of routeFrame otherwise; resolving here means
+// the lane engine itself never takes the channel-table lock.
+func (p *Proc) routeMsg(m *transport.Message) {
 	var c, cc, ca *Channel
 	if m.Tag != tagBarrier && m.Tag != tagBarrierRel && !isSigTag(m.Tag) {
 		c, _ = p.lookupChannel(m.From, m.Channel)
@@ -350,8 +428,8 @@ func (p *Proc) routeFrame(fb *wire.Buf) {
 // priority order, service the send queue the processing may have fed
 // (credit releases, acks opening windows, retransmissions), then hand
 // scheduler-domain completions over in one PostAsync.
-func (ln *lane) engine() {
-	defer ln.p.laneWG.Done()
+func (ln *lane) engine(d *goroutineDriver) {
+	defer d.wg.Done()
 	tr := ln.p.cfg.Tracer
 	for {
 		items := ln.rx.Drain()
@@ -359,7 +437,7 @@ func (ln *lane) engine() {
 			if tr != nil {
 				tr.Set(ln.traceName, trace.Idle)
 			}
-			if !ln.rx.Sleep(ln.p.laneStop) {
+			if !ln.rx.Sleep(d.stop) {
 				if tr != nil {
 					tr.Close(ln.traceName)
 				}
@@ -424,10 +502,74 @@ func (ln *lane) step() {
 	}
 }
 
+// sendSys is S, the send system thread of schedDriver: each wakeup
+// services the lane's send scheduler until it is empty, calling the
+// carrier in S's own context (see flushRunLocked). It parks at "send idle"
+// and exits once the proc may shut down (idleExit).
+func (ln *lane) sendSys(st *mts.Thread) {
+	p := ln.p
+	for {
+		ln.mu.Lock()
+		if ln.pending.empty() && len(ln.mustFlush) == 0 {
+			ln.mu.Unlock()
+			if ln.sd.idleExit(p, "send", ln.sd.r, "recv idle") {
+				return
+			}
+			p.traceSys("send", trace.Idle)
+			st.Park("send idle")
+			continue
+		}
+		p.traceSys("send", trace.Comm)
+		ln.service(st)
+		ln.mu.Unlock()
+		ln.runDrain()
+	}
+}
+
+// recvSys is R, the receive system thread of schedDriver. It processes one
+// arrival at a time, highest priority first, and drains that arrival's
+// scheduler-domain work before the next, passing itself as the consuming
+// thread so Config.RecvCharge lands on R in arrival order. It parks at
+// "recv idle" and exits once the proc may shut down (idleExit).
+func (ln *lane) recvSys(rt *mts.Thread) {
+	p := ln.p
+	for {
+		ln.mu.Lock()
+		if items := ln.rx.Drain(); len(items) > 0 {
+			ln.queueRxLocked(items)
+		}
+		if ln.rxq.empty() {
+			ln.mu.Unlock()
+			if ln.sd.idleExit(p, "recv", ln.sd.s, "send idle") {
+				return
+			}
+			p.traceSys("recv", trace.Idle)
+			rt.Park("recv idle")
+			continue
+		}
+		p.traceSys("recv", trace.Comm)
+		ln.processLocked(ln.rxq.pop())
+		ln.serviceLocked()
+		ln.mu.Unlock()
+		ln.drain(rt)
+	}
+}
+
 // ingestLocked is the shared body of engine and step: queue one drained
 // ring batch by priority, process it, service the send scheduler the
 // processing may have fed, and report whether a drain must be scheduled.
 func (ln *lane) ingestLocked(items []rxItem) (post bool) {
+	ln.queueRxLocked(items)
+	for !ln.rxq.empty() {
+		ln.processLocked(ln.rxq.pop())
+	}
+	ln.serviceLocked()
+	return ln.queueDrainLocked()
+}
+
+// queueRxLocked files a drained ring batch into the receive priority
+// queue: control above all data, data under its channel's priority.
+func (ln *lane) queueRxLocked(items []rxItem) {
 	ln.p.statRingDrain.Add(int64(len(items)))
 	for i, it := range items {
 		level := ctrlLevel
@@ -437,9 +579,6 @@ func (ln *lane) ingestLocked(items []rxItem) (post bool) {
 		ln.rxq.push(level, it)
 		items[i] = rxItem{}
 	}
-	ln.processLocked()
-	ln.serviceLocked()
-	return ln.queueDrainLocked()
 }
 
 // queueDrainLocked marks a drain as needed if the out-queues are non-empty;
@@ -455,82 +594,90 @@ func (ln *lane) queueDrainLocked() bool {
 	return true
 }
 
-// processLocked is the sharded recvLoop body: demultiplex everything queued
-// in rxq — control to the disciplines, data through error/flow control —
-// deferring scheduler-domain work (waiter dispatch, barrier state,
+// processLocked is one arrival's receive processing — Figure 8's R:
+// control to the disciplines, data through error/flow control — deferring
+// scheduler-domain work (waiter dispatch, barrier and signaling state,
 // exceptions) to the out-queues.
-func (ln *lane) processLocked() {
-	for !ln.rxq.empty() {
-		it := ln.rxq.pop()
-		m, c := it.m, it.c
-		if m.Tag < 0 {
-			switch m.Tag {
-			case tagFlowAck, tagGBNAck:
-				if c == nil {
-					// Control for a channel nobody has open: almost always
-					// an ack or credit racing the channel's finalize (the
-					// signaled close removed it from the table). Cumulative
-					// control is supersede-safe, so drop it and count.
-					ln.p.statLateCtrl.Add(1)
-					m.Release()
-					continue
-				}
-				if m.Tag == tagFlowAck {
-					c.flow.onControl(m)
-				} else {
-					c.errc.onControl(m)
-				}
+func (ln *lane) processLocked(it rxItem) {
+	m, c := it.m, it.c
+	if m.Tag < 0 {
+		switch m.Tag {
+		case tagFlowAck, tagGBNAck:
+			if c == nil {
+				// Control for a channel nobody has open: almost always an
+				// ack or credit racing the channel's finalize (the signaled
+				// close removed it from the table). Cumulative control is
+				// supersede-safe, so drop it and count. A closed channel
+				// that is still in the table keeps consuming control: error
+				// control needs late acks to drain its in-flight window.
+				ln.p.statLateCtrl.Add(1)
 				m.Release()
-			case tagBarrier, tagBarrierRel:
-				// Barrier state is proc-level scheduler-domain state.
-				ln.deliver = append(ln.deliver, m)
-			case tagSigSetup, tagSigConnect, tagSigReject, tagSigRelease, tagSigRelComp, tagSigBeat:
-				// Signaling is proc-level scheduler-domain state, like
-				// barriers: the drain dispatches to onSigMsg.
-				ln.deliver = append(ln.deliver, m)
-			default:
-				ln.errs = append(ln.errs, fmt.Errorf("unknown control tag %d from proc %d", m.Tag, m.From))
-				m.Release()
+				return
 			}
-			continue
-		}
-		if c == nil {
-			ln.errs = append(ln.errs, fmt.Errorf("data on unopened channel %d from proc %d", m.Channel, m.From))
-			m.Release()
-			continue
-		}
-		if m.HasCredit {
-			if it.cc != nil {
-				ln.applyCrossLocked(it.cc, tagFlowAck, m.Credit)
+			if m.Tag == tagFlowAck {
+				c.flow.onControl(m)
 			} else {
-				c.flow.onCredit(m.Credit)
+				c.errc.onControl(m)
 			}
-		}
-		if m.HasAck {
-			if it.ca != nil {
-				ln.applyCrossLocked(it.ca, tagGBNAck, m.Ack)
-			} else {
-				c.errc.onAck(m.Ack)
-			}
-		}
-		if c.closed {
-			ln.errs = append(ln.errs, fmt.Errorf("data on closed channel %d from proc %d", m.Channel, m.From))
 			m.Release()
-			continue
+		case tagBarrier, tagBarrierRel:
+			// Barrier state is proc-level scheduler-domain state.
+			ln.deliver = append(ln.deliver, m)
+		case tagSigSetup, tagSigConnect, tagSigReject, tagSigRelease, tagSigRelComp, tagSigBeat:
+			// Signaling is proc-level scheduler-domain state, like
+			// barriers: the drain dispatches to onSigMsg.
+			ln.deliver = append(ln.deliver, m)
+		default:
+			ln.errs = append(ln.errs, fmt.Errorf("unknown control tag %d from proc %d", m.Tag, m.From))
+			m.Release()
 		}
-		if !c.errc.onData(m) {
-			continue
-		}
-		c.received.Add(1)
-		c.bytesReceived.Add(int64(len(m.Data)))
-		c.flow.onDelivered(m)
-		ln.deliver = append(ln.deliver, m)
+		return
 	}
+	if c == nil {
+		ln.errs = append(ln.errs, fmt.Errorf("data on unopened channel %d from proc %d", m.Channel, m.From))
+		m.Release()
+		return
+	}
+	// Piggybacked control applies before anything else: it is the peer's
+	// receiver-role state and stays valid whether this data copy turns out
+	// fresh, duplicate, or addressed to a closed channel. A coalesced word
+	// belongs to the sibling channel stamped on it.
+	if m.HasCredit {
+		if it.cc != nil {
+			ln.applyCrossLocked(it.cc, tagFlowAck, m.Credit)
+		} else {
+			c.flow.onCredit(m.Credit)
+		}
+	}
+	if m.HasAck {
+		if it.ca != nil {
+			ln.applyCrossLocked(it.ca, tagGBNAck, m.Ack)
+		} else {
+			c.errc.onAck(m.Ack)
+		}
+	}
+	if c.closed {
+		// This end tore the channel down; the peer may still be
+		// transmitting. Drop, and let its error control give up as against
+		// a dead process.
+		ln.errs = append(ln.errs, fmt.Errorf("data on closed channel %d from proc %d", m.Channel, m.From))
+		m.Release()
+		return
+	}
+	// Error control may suppress duplicates / out-of-order arrivals.
+	if !c.errc.onData(m) {
+		return
+	}
+	c.received.Add(1)
+	c.bytesReceived.Add(int64(len(m.Data)))
+	// Flow control acknowledges the delivery (credit return).
+	c.flow.onDelivered(m)
+	ln.deliver = append(ln.deliver, m)
 }
 
 // requeueRxLocked re-queues in-order flushes from a buffering discipline
 // (selective repeat) ahead of anything already waiting at the channel's
-// level, exactly as the classic path prepends into rxIn.
+// level, so release order equals sequence order.
 func (ln *lane) requeueRxLocked(c *Channel, flushed []*transport.Message) {
 	items := ln.rxScratch[:0]
 	for _, m := range flushed {
@@ -543,16 +690,29 @@ func (ln *lane) requeueRxLocked(c *Channel, flushed []*transport.Message) {
 // ---------------------------------------------------------------------------
 // Sending
 
-// serviceLocked is the sharded sendLoop body: drain the lane's send
-// scheduler (control first, then DRR across channels) through admission,
-// piggyback attachment, cross-channel coalescing, and same-destination
-// batching. Unlike the classic loop it runs inline in whatever context fed
-// the queue — a sending thread, the engine, a timer — so an uncontended
-// send completes with no context switch at all. Forced credit
-// advertisements queued by the flow tier (mustFlush) are resolved at the
-// end of the pass: a data frame serviced in the same pass carries them for
-// free, anything still pending goes standalone.
+// serviceLocked is called by whatever fed the send scheduler — a sending
+// thread, the engine, a timer — once it is done queuing. Under schedDriver
+// it wakes S, which services the lane in its own context (the paper's
+// send system thread). Under the other drivers it services the lane
+// inline, so an uncontended send completes with no context switch at all.
 func (ln *lane) serviceLocked() {
+	if sd := ln.sd; sd != nil {
+		if !ln.pending.empty() || len(ln.mustFlush) > 0 {
+			ln.p.wakeIfIdle(sd.s, "send idle")
+		}
+		return
+	}
+	ln.service(nil)
+}
+
+// service drains the lane's send scheduler (control first, then DRR across
+// channels) through admission, piggyback attachment, cross-channel
+// coalescing, and same-destination batching. Forced credit advertisements
+// queued by the flow tier (mustFlush) are resolved at the end of the pass:
+// a data frame serviced in the same pass carries them for free, anything
+// still pending goes standalone. st is S under schedDriver (see
+// flushRunLocked), nil otherwise.
+func (ln *lane) service(st *mts.Thread) {
 	p := ln.p
 	run := ln.sendRun[:0]
 	for {
@@ -580,11 +740,11 @@ func (ln *lane) serviceLocked() {
 				ln.attachCrossLocked(req.ch, req.m)
 			}
 			if len(run) > 0 && (req.m.To != run[len(run)-1].m.To || len(run) >= maxSendBurst) {
-				run = ln.flushRunLocked(run)
+				run = ln.flushRunLocked(run, st)
 			}
 			run = append(run, req)
 			if p.laneBS == nil {
-				run = ln.flushRunLocked(run)
+				run = ln.flushRunLocked(run, st)
 			}
 		}
 		if len(ln.mustFlush) == 0 {
@@ -606,7 +766,7 @@ func (ln *lane) serviceLocked() {
 			ln.mustFlush = mf[:0]
 		}
 	}
-	ln.sendRun = ln.flushRunLocked(run)
+	ln.sendRun = ln.flushRunLocked(run, st)
 }
 
 // attachCrossLocked fills a departing data frame's free credit/ack slots
@@ -783,7 +943,7 @@ func (ln *lane) wheelFire() {
 		if !c.flushDeferred && ln.rideImminentLocked(c) {
 			c.flushDeferred = true
 			c.flushOn = true
-			c.flushAt = now + ln.p.ctrlFlush
+			c.flushAt = now + ctrlFlushDelay
 			ln.flushQ.Push(c)
 			ln.markDecision(c, "ctrl-defer")
 			continue
@@ -805,9 +965,21 @@ func (ln *lane) markDecision(c *Channel, kind string) {
 	}
 }
 
-// flushRunLocked hands one same-destination run to the carrier and
-// completes the requests: counters, deferred wakeups, freelist recycling.
-func (ln *lane) flushRunLocked(run []*sendReq) []*sendReq {
+// maxSendBurst bounds one same-destination run handed to a carrier's
+// batch path, so a saturating bulk stream cannot delay its own callers'
+// wakeups (or a priority preemption point) indefinitely.
+const maxSendBurst = 64
+
+// flushRunLocked hands one same-destination run to the carrier — a single
+// SendBatch call when it offers batching — and completes the requests:
+// counters, deferred wakeups, freelist recycling. When st is S
+// (schedDriver), the carrier may charge CPU by parking st, and a parked mts
+// thread must not hold ln.mu (the next thread to need it would block the
+// whole scheduler), so the lock is released around the carrier calls. That
+// is safe because only S services the lane, which keeps per-channel FIFO.
+// S then drains the completions right away: the callers of this run wake
+// now, not after the rest of the pass.
+func (ln *lane) flushRunLocked(run []*sendReq, st *mts.Thread) []*sendReq {
 	if len(run) == 0 {
 		return run
 	}
@@ -817,20 +989,26 @@ func (ln *lane) flushRunLocked(run []*sendReq) []*sendReq {
 			p.traceChan(req.ch, trace.Comm)
 		}
 	}
+	if st != nil {
+		ln.mu.Unlock()
+	}
 	if p.laneBS != nil && len(run) > 1 {
 		ms := ln.batchMsgs[:0]
 		for _, req := range run {
 			ms = append(ms, req.m)
 		}
-		p.laneBS.SendBatch(nil, ms)
+		p.laneBS.SendBatch(st, ms)
 		for i := range ms {
 			ms[i] = nil
 		}
 		ln.batchMsgs = ms[:0]
 	} else {
 		for _, req := range run {
-			p.cfg.Endpoint.Send(nil, req.m)
+			p.cfg.Endpoint.Send(st, req.m)
 		}
+	}
+	if st != nil {
+		ln.mu.Lock()
 	}
 	for i, req := range run {
 		if req.ch != nil && !req.raw {
@@ -841,8 +1019,8 @@ func (ln *lane) flushRunLocked(run []*sendReq) []*sendReq {
 			p.traceChan(req.ch, trace.Idle)
 		}
 		if req.done != nil {
-			// Inline sender still inside lane.send on this lane: it
-			// observes the flag before parking, so no wakeup is needed.
+			// Inline sender still inside laneSend on this lane: it observes
+			// the flag before parking, so no wakeup is needed.
 			*req.done = true
 		} else if req.caller != nil {
 			ln.wake = append(ln.wake, req.caller)
@@ -857,6 +1035,11 @@ func (ln *lane) flushRunLocked(run []*sendReq) []*sendReq {
 		}
 		ln.putReq(req)
 		run[i] = nil
+	}
+	if st != nil {
+		ln.mu.Unlock()
+		ln.runDrain()
+		ln.mu.Lock()
 	}
 	return run[:0]
 }
@@ -902,14 +1085,83 @@ func (ln *lane) failSendLocked(req *sendReq) {
 	}
 }
 
-// laneSend is the sharded Thread.Send/Channel.Send body: build the message
-// and request from the lane's freelists, enqueue, and service the lane
-// inline. If the request flushed during the inline service (the common,
-// uncongested case) the thread never parks — the send completes in the
-// caller's own time slice, which is where the single-core speedup over the
-// classic park/dispatch/park cycle comes from. If a discipline deferred
-// it, the thread parks and the eventual flush (engine or timer) wakes it
-// through the drain.
+// failGated fails a batch of gated sends at channel teardown and reports
+// them once through the exception handler — the shared tail of every
+// discipline's shutdown. The callers unblock (Send returns no error, so the
+// exception is how they learn of it). Caller holds the lane lock; wakeups
+// and the exception run at the drain.
+func (c *Channel) failGated(reqs []*sendReq, gate string) {
+	if len(reqs) == 0 {
+		return
+	}
+	ln := c.ln
+	for _, req := range reqs {
+		ln.failSendLocked(req)
+	}
+	if c.deadErr != nil {
+		ln.errs = append(ln.errs, fmt.Errorf("core: channel %d to proc %d closed with %d sends still gated by %s: %w", c.id, c.peer, len(reqs), gate, c.deadErr))
+		return
+	}
+	ln.errs = append(ln.errs, fmt.Errorf("core: channel %d to proc %d closed with %d sends still gated by %s", c.id, c.peer, len(reqs), gate))
+}
+
+// enqueue files a data request on the channel's lane scheduler at the
+// channel's priority: a discipline releasing a deferred request, or a raw
+// retransmission (which carries a full payload and so must not preempt a
+// higher-priority stream as control would). The caller holds the lane lock;
+// whoever completes the current lane entry services the queue. Admission
+// never blocks the scheduler — a request a discipline cannot admit is
+// deferred, not waited on — so nothing starves behind gated data.
+func (c *Channel) enqueue(req *sendReq) {
+	c.ln.pending.push(c.priority, req)
+}
+
+// ctrlLocked queues one pooled control frame (tag < 0) toward peer on the
+// lane's control band, above every data level: control is what reopens
+// stalled windows, so no amount of queued data may starve it. The payload
+// is head (a marshalled SigMessage, or nil) followed by words as uint32s.
+// It is the single builder of standalone control: credit and ack flushes,
+// barrier, signaling and heartbeat frames. Flow- and error-control words
+// are *cumulative* counters compared wrap-safely (wire.SeqNewer) at the
+// receiver, so those frames survive lossy carriers: any later frame
+// supersedes a dropped one. The message and its payload buffer recycle
+// once the carrier has serialized them, so a steady stream of credits and
+// acks allocates nothing. Caller holds ln.mu and services the lane after.
+func (ln *lane) ctrlLocked(to ProcID, ch ChannelID, tag int, head []byte, words []uint32) {
+	m := ln.getCtrlMsg()
+	m.From = ln.p.cfg.ID
+	m.To = to
+	m.Channel = ch
+	m.Tag = tag
+	m.Data = append(m.Data[:0], head...)
+	for _, w := range words {
+		m.Data = wire.AppendUint32(m.Data, w)
+	}
+	req := ln.getReq()
+	req.m = m
+	req.ctrl = true
+	ln.pending.push(ctrlLevel, req)
+}
+
+// sendCtrl sends one proc-level control frame toward peer — barrier
+// arrivals and releases, signaling, heartbeats — on the lane of the peer's
+// default channel: all of them travel on channel 0. Scheduler domain.
+func (p *Proc) sendCtrl(to ProcID, tag int, head []byte, words ...uint32) {
+	ln := p.DefaultChannel(to).lockLane()
+	ln.ctrlLocked(to, 0, tag, head, words)
+	ln.serviceLocked()
+	ln.mu.Unlock()
+	ln.runDrain()
+}
+
+// laneSend is the Thread.Send/Channel.Send body: build the message and
+// request from the lane's freelists, enqueue, and service the lane. Under
+// the goroutine and virtual drivers the service runs inline, and if the
+// request flushed during it (the common, uncongested case) the thread
+// never parks — the send completes in the caller's own time slice. If a
+// discipline deferred it, or under schedDriver where S services the lane
+// (the paper's NCS_send: wake the send system thread, block the caller),
+// the thread parks and the eventual flush wakes it through the drain.
 func (c *Channel) laneSend(t *Thread, tag, toThread int, data []byte) {
 	p := c.p
 	if pd := p.deadPeers[c.peer]; pd != nil {
@@ -985,9 +1237,11 @@ func (ln *lane) runDrain() { ln.drain(nil) }
 // is reported through the return value instead of a no-op Unblock (the
 // thread is still running — it has not parked yet — so Unblock would lose
 // the wakeup and the thread would park forever). self carries at most one
-// pending wakeup, because a thread has at most one outstanding send.
+// pending wakeup, because a thread has at most one outstanding send. self
+// is also the thread that consumes delivered data (Config.RecvCharge): R
+// under schedDriver, which is the only producer of deliveries there.
 //
-// Reentrancy: processing a barrier message can send control (sendCtrlVec),
+// Reentrancy: processing a barrier message can send control (sendCtrl),
 // which drains a lane inline — possibly this one. The spare swap buffers
 // are therefore *claimed* (nil'd) while in use so a nested drain allocates
 // fresh scratch instead of aliasing the batch being processed.
@@ -1017,7 +1271,7 @@ func (ln *lane) drain(self *mts.Thread) (selfWoken bool) {
 				}
 				m.Release()
 			} else {
-				p.dispatchData(nil, m)
+				p.dispatchData(self, m)
 			}
 			del[i] = nil
 		}
@@ -1047,10 +1301,10 @@ func (ln *lane) drain(self *mts.Thread) (selfWoken bool) {
 // ---------------------------------------------------------------------------
 // Shutdown
 
-// mayShutdownSharded is the lane-mode shutdown predicate: user threads are
-// done, no channel's error control is awaiting acknowledgement, and every
-// lane has drained its queues.
-func (p *Proc) mayShutdownSharded() bool {
+// mayShutdown is the shutdown predicate: user threads are done, no
+// channel's error control is awaiting acknowledgement, and every lane has
+// drained its queues. It takes the lane locks, so callers hold none.
+func (p *Proc) mayShutdown() bool {
 	if !p.closing.Load() {
 		return false
 	}
@@ -1079,21 +1333,31 @@ func (p *Proc) mayShutdownSharded() bool {
 	return true
 }
 
-// laneLoop is the lanes' shutdown supervisor: a system thread that parks
-// until the process may terminate, then stops the engines and performs the
-// final drain. It replaces the classic send/recv system threads' exit
-// paths (the lane engines themselves run outside the mts scheduler — as
-// plain goroutines in real mode, as clock events in virtual mode).
-func (p *Proc) laneLoop(st *mts.Thread) {
-	for !p.mayShutdownSharded() {
-		st.Park("lanes idle")
+// shutdownCheck wakes the system threads if the proc may now shut down
+// (bound once into Proc.shutdownFn so posting it allocates nothing).
+func (p *Proc) shutdownCheck() {
+	if p.mayShutdown() {
+		p.laneDriver.wakeIdle(p)
 	}
-	p.laneDriver.stop(p)
-	// Engines may have queued completions after their last scheduled
-	// drain ran (or for drains the exiting Run loop would never execute).
-	for _, ln := range p.lanes {
-		ln.runDrain()
-	}
+}
+
+// startKeeper creates the goroutine and virtual drivers' keeper system
+// thread: it parks until the process may terminate, runs stop
+// (when set) to end the engines, and performs the final drain.
+func (p *Proc) startKeeper(stop func()) *mts.Thread {
+	return p.cfg.RT.Create(fmt.Sprintf("ncs%d-lanes", p.cfg.ID), mts.PrioSystem, func(st *mts.Thread) {
+		for !p.mayShutdown() {
+			st.Park("lanes idle")
+		}
+		if stop != nil {
+			stop()
+		}
+		// Engines may have queued completions after their last scheduled
+		// drain ran (or for drains the exiting Run loop would never execute).
+		for _, ln := range p.lanes {
+			ln.runDrain()
+		}
+	})
 }
 
 // ---------------------------------------------------------------------------
@@ -1121,12 +1385,9 @@ type LaneStats struct {
 	MigratedIn int64
 }
 
-// LaneStats returns a per-lane scheduler snapshot, nil on a classic
-// (single-lane) proc. Safe to call while traffic is flowing.
+// LaneStats returns a scheduler snapshot with one entry per lane, never
+// nil. Safe to call while traffic is flowing.
 func (p *Proc) LaneStats() []LaneStats {
-	if !p.sharded() {
-		return nil
-	}
 	out := make([]LaneStats, len(p.lanes))
 	for i, ln := range p.lanes {
 		ln.mu.Lock()

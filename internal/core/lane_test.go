@@ -42,15 +42,42 @@ func TestShardedEngages(t *testing.T) {
 	procs[0].TCreate("noop", mts.PrioDefault, func(th *Thread) {})
 	runReal(procs)
 
-	// Lane count 1 must select the classic two-thread engine.
-	rt := mts.New(mts.Config{Name: "classic", IdleTimeout: 10 * time.Second})
+	// Lane count 1 must run one lane (on the S and R system threads).
+	rt := mts.New(mts.Config{Name: "one-lane", IdleTimeout: 10 * time.Second})
 	ep := transport.NewMem().Attach(0, rt)
 	p := New(Config{ID: 0, RT: rt, Endpoint: ep, Lanes: 1})
-	if p.Lanes() != 1 || p.sharded() {
-		t.Fatalf("Lanes=1 must run the classic path (lanes=%d sharded=%v)", p.Lanes(), p.sharded())
+	if p.Lanes() != 1 || len(p.LaneStats()) != 1 {
+		t.Fatalf("Lanes=1 must run one lane (lanes=%d, %d LaneStats entries)", p.Lanes(), len(p.LaneStats()))
 	}
 	p.TCreate("noop", mts.PrioDefault, func(th *Thread) {})
 	runReal([]*Proc{p})
+}
+
+// TestOneLaneShutdownIgnoresLateArrival: once R has decided the proc may
+// shut down and exited, a frame that lands in the ring before S reaches its
+// idle check must not keep S waiting for a drain nobody will run. The
+// sequence is forced deterministically: the user thread's exit races one
+// bogus control frame in, and R's exception handler posts a second one
+// behind R's own exit.
+func TestOneLaneShutdownIgnoresLateArrival(t *testing.T) {
+	net := transport.NewMem()
+	rt := mts.New(mts.Config{Name: "one-lane", IdleTimeout: 2 * time.Second})
+	ep := net.Attach(0, rt)
+	peer := net.Attach(1, mts.New(mts.Config{Name: "peer"}))
+	p := New(Config{ID: 0, RT: rt, Endpoint: ep, Lanes: 1})
+	bogus := func() { peer.Send(nil, &transport.Message{From: 1, To: 0, Tag: -99}) }
+	exceptions := 0
+	p.OnException(func(error) {
+		exceptions++
+		if exceptions == 1 {
+			bogus() // delivered only after R has gone idle and exited
+		}
+	})
+	p.TCreate("quit", mts.PrioDefault, func(th *Thread) { bogus() })
+	p.Start() // a stuck S panics with a deadlock dump after IdleTimeout
+	if exceptions != 1 {
+		t.Fatalf("R processed %d bogus frames, want 1 (the late one arrives after R exited)", exceptions)
+	}
 }
 
 func TestShardedRoundTrip(t *testing.T) {

@@ -111,7 +111,7 @@ func (s *SelectiveRepeat) admit(req *sendReq) bool {
 func (s *SelectiveRepeat) armTimer(seq uint32) {
 	// Per-sequence timers need the sequence baked in, so unlike the other
 	// disciplines each arm builds a fresh closure (wrapped into the lane
-	// domain on sharded channels).
+	// domain).
 	s.p.cfg.After(s.Timeout, s.ch.wrapTimer(func() { s.timerFire(seq) }))
 }
 
@@ -131,11 +131,11 @@ func (s *SelectiveRepeat) timerFire(seq uint32) {
 	}
 	cp := *pending.m
 	s.retrans++
-	req := s.p.getReq()
+	req := s.ch.ln.getReq()
 	req.m = &cp
 	req.ch = s.ch
 	req.raw = true
-	s.p.enqueueSend(req)
+	s.ch.enqueue(req)
 	s.armTimer(seq)
 }
 
@@ -154,7 +154,7 @@ func (s *SelectiveRepeat) slide() {
 	for len(s.deferred) > 0 && s.nextSeq-s.base < uint32(s.Window) {
 		req := s.deferred[0]
 		s.deferred = s.deferred[1:]
-		s.p.enqueueSend(req)
+		s.ch.enqueue(req)
 	}
 }
 
@@ -171,7 +171,7 @@ func (s *SelectiveRepeat) onData(m *transport.Message) bool {
 		s.expected++
 		// Flush buffered successors. They must be processed *before*
 		// anything already queued behind the current message — a raw
-		// arrival sitting in rxIn could otherwise match the advanced
+		// arrival sitting in the lane's rxq could otherwise match the advanced
 		// expected sequence and leapfrog them — so they are prepended to
 		// the channel's receive level, with sequences cleared so this
 		// discipline passes them through instead of re-filtering them as
@@ -188,7 +188,7 @@ func (s *SelectiveRepeat) onData(m *transport.Message) bool {
 			flushed = append(flushed, next)
 		}
 		if len(flushed) > 0 {
-			s.ch.requeueRx(flushed)
+			s.ch.ln.requeueRxLocked(s.ch, flushed)
 		}
 		return true
 	case wire.SeqNewer(m.ESeq, s.expected):
@@ -244,7 +244,7 @@ func (s *SelectiveRepeat) queued() int { return len(s.deferred) }
 func (s *SelectiveRepeat) shutdown() {
 	reqs := s.deferred
 	s.deferred = nil
-	s.p.failGated(s.ch, reqs, "selective repeat")
+	s.ch.failGated(reqs, "selective repeat")
 }
 
 // abandon drops every unacked in-flight message: the peer is dead, nothing

@@ -36,7 +36,7 @@ import (
 // leaked state; see Proc.Lifecycle and Proc.Leaks.
 //
 // Everything here runs in the scheduler domain: signaling frames arrive
-// through handleControl (classic) or the lane drain (sharded), and every
+// through the lane drain, and every
 // timer rides Config.After — so the same code is deterministic under a
 // VirtualTime mesh and needs no locking for the call table or the per-
 // channel signaling flags. The one lane-visible field, Channel.state, is
@@ -631,41 +631,7 @@ func satU32f(v float64) uint32 {
 // route yet (SETUP) or no longer has one (late RELEASE retries); the
 // channel the call is about rides in sig.Forward's VPI.
 func (p *Proc) sendSigMsg(to ProcID, tag int, sig atm.SigMessage, words ...uint32) {
-	if p.sharded() {
-		// Scheduler-domain control toward a peer, exactly as sendCtrlVec:
-		// route through the peer's default-channel lane.
-		ln := p.DefaultChannel(to).lockLane()
-		m := ln.getCtrlMsg()
-		m.From = p.cfg.ID
-		m.To = to
-		m.Channel = 0
-		m.Tag = tag
-		m.Data = append(m.Data[:0], sig.Marshal()...)
-		for _, w := range words {
-			m.Data = wire.AppendUint32(m.Data, w)
-		}
-		req := ln.getReq()
-		req.m = m
-		req.ctrl = true
-		ln.pending.push(ctrlLevel, req)
-		ln.serviceLocked()
-		ln.mu.Unlock()
-		ln.runDrain()
-		return
-	}
-	m := p.getCtrlMsg()
-	m.From = p.cfg.ID
-	m.To = to
-	m.Channel = 0
-	m.Tag = tag
-	m.Data = append(m.Data[:0], sig.Marshal()...)
-	for _, w := range words {
-		m.Data = wire.AppendUint32(m.Data, w)
-	}
-	req := p.getReq()
-	req.m = m
-	req.ctrl = true
-	p.enqueueSend(req)
+	p.sendCtrl(to, tag, sig.Marshal(), words...)
 }
 
 // onSigMsg dispatches one arriving signaling frame. Scheduler domain; the
@@ -952,27 +918,18 @@ func (p *Proc) startClose(c *Channel, cause CallCause) {
 // error-control window keeps draining), and new sends start failing via
 // sendUnavailable. The receiver role stays live so the peer can drain.
 func (p *Proc) beginClosing(c *Channel) {
-	if ln := c.lockLane(); ln != nil {
-		if c.state.Load() >= chanClosing {
-			ln.mu.Unlock()
-			return
-		}
-		c.state.Store(chanClosing)
-		c.flushCtrl()
-		c.flow.shutdown()
-		c.errc.shutdown()
-		ln.serviceLocked()
-		ln.mu.Unlock()
-		ln.runDrain()
-		return
-	}
+	ln := c.lockLane()
 	if c.state.Load() >= chanClosing {
+		ln.mu.Unlock()
 		return
 	}
 	c.state.Store(chanClosing)
 	c.flushCtrl()
 	c.flow.shutdown()
 	c.errc.shutdown()
+	ln.serviceLocked()
+	ln.mu.Unlock()
+	ln.runDrain()
 }
 
 // drainedForClose reports whether the channel's sender side has fully
@@ -1106,30 +1063,20 @@ func (p *Proc) finalizeChannel(c *Channel) {
 	if c == nil || c.closedDone {
 		return
 	}
-	if ln := c.lockLane(); ln != nil {
-		if c.state.Load() == chanClosed {
-			ln.mu.Unlock()
-			return
-		}
-		c.flushCtrl()
-		c.state.Store(chanClosed)
-		c.closed = true
-		c.flow.shutdown()
-		c.errc.shutdown()
-		ln.detachChanLocked(c)
-		ln.serviceLocked()
+	ln := c.lockLane()
+	if c.state.Load() == chanClosed {
 		ln.mu.Unlock()
-		ln.runDrain()
-	} else {
-		if c.state.Load() == chanClosed {
-			return
-		}
-		c.flushCtrl()
-		c.state.Store(chanClosed)
-		c.closed = true
-		c.flow.shutdown()
-		c.errc.shutdown()
+		return
 	}
+	c.flushCtrl()
+	c.state.Store(chanClosed)
+	c.closed = true
+	c.flow.shutdown()
+	c.errc.shutdown()
+	ln.detachChanLocked(c)
+	ln.serviceLocked()
+	ln.mu.Unlock()
+	ln.runDrain()
 	p.chanMu.Lock()
 	delete(p.channels, chanKey{peer: c.peer, id: c.id})
 	p.chanMu.Unlock()
@@ -1228,7 +1175,7 @@ type LifecycleStats struct {
 	// TimersArmed / TimersFired count every Config.After scheduling and
 	// firing (VirtualTime procs only; zero in real mode).
 	TimersArmed, TimersFired int64
-	// RingPushed / RingDrained count lane MPSC ring entries (sharded mode).
+	// RingPushed / RingDrained count lane MPSC ring entries.
 	RingPushed, RingDrained int64
 	// LateCtrl counts control frames that arrived for a channel already
 	// finalized (dropped; cumulative control is supersede-safe).

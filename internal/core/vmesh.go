@@ -31,8 +31,9 @@ import (
 // VirtualMeshConfig parameterizes NewVirtualMesh. The zero value models the
 // calibrated 1995 NYNET LAN with 2 lanes per proc and default disciplines.
 type VirtualMeshConfig struct {
-	// Lanes is the per-proc lane count (default 2). Values > 1 exercise the
-	// full sharded hot path; 1 builds classic two-system-thread procs.
+	// Lanes is the per-proc lane count (default 2). Values > 1 run the
+	// lanes as clock events; 1 runs each proc's lane on its S and R system
+	// threads.
 	Lanes int
 	// Flow and Error are per-channel discipline templates, forked for every
 	// default channel exactly as Config.Flow/Config.Error (nil = none).
