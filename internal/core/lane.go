@@ -54,8 +54,8 @@ import (
 // Lane count defaults to min(GOMAXPROCS, 4).
 
 // rxItem is one arriving message routed to a lane: the decoded frame plus
-// its channel, resolved in the *sender's* goroutine so the engine never
-// touches the channel table. cc/ca name the channels a cross-channel
+// its channel, resolved where the message is delivered (routeMsg) so the
+// engine never touches the channel table. cc/ca name the channels a cross-channel
 // piggybacked credit/ack word belongs to when that differs from the
 // frame's own channel (lane-aware coalescing).
 type rxItem struct {
