@@ -16,8 +16,9 @@
 //
 // The control plane piggybacks on the data plane (wire format v3): a data
 // frame carries its channel's pending credit advertisement and ack as
-// optional header words, with a short (1 ms) flush timer falling back to standalone — and coalesced — control frames when no
-// reverse data flows. The send service drains bursts and hands
+// optional header words, with a short (1 ms) flush timer falling back to
+// standalone — and coalesced — control frames when no reverse data flows.
+// The send service drains bursts and hands
 // same-destination runs to carriers through transport.BatchSender (one
 // scheduler post on Mem, one writev on real TCP, MTU-bounded cell-train
 // datagrams on UDP/ATM), and Thread.RecvInto/Channel.RecvInto — the

@@ -256,9 +256,8 @@ func (p *Proc) DefaultChannel(peer ProcID) *Channel {
 // addChannel builds a channel and publishes it. The channel is fully
 // initialized — lane placed, disciplines init'd — *before* it enters the
 // table: a foreign goroutine (routeFrame) may resolve it the instant it is
-// visible. Two goroutines may race to create the same
-// default channel; the loser's channel is discarded and the winner's
-// returned. Explicit duplicate Opens still panic.
+// visible. Two goroutines may race to create the same default channel; the
+// loser's channel is discarded and the winner's returned. Explicit duplicate Opens still panic.
 func (p *Proc) addChannel(key chanKey, prio, laneHint, weight int, fc FlowControl, ec ErrorControl) *Channel {
 	if weight == 0 {
 		weight = prio + 1

@@ -103,7 +103,8 @@ type GoBackN struct {
 	// Receiver side.
 	expected uint32
 
-	// fireFn is the pre-bound, lane-wrapped timer callback, so each re-arm schedules without a fresh closure.
+	// fireFn is the pre-bound, lane-wrapped timer callback, so each re-arm
+	// schedules without a fresh closure.
 	fireFn func()
 
 	retrans   int64

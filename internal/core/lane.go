@@ -55,9 +55,9 @@ import (
 
 // rxItem is one arriving message routed to a lane: the decoded frame plus
 // its channel, resolved where the message is delivered (routeMsg) so the
-// engine never touches the channel table. cc/ca name the channels a cross-channel
-// piggybacked credit/ack word belongs to when that differs from the
-// frame's own channel (lane-aware coalescing).
+// engine never touches the channel table. cc/ca name the channels a
+// cross-channel piggybacked credit/ack word belongs to when that differs
+// from the frame's own channel (lane-aware coalescing).
 type rxItem struct {
 	m      *transport.Message
 	c      *Channel // nil for barrier control and unknown-channel traffic

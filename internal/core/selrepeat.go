@@ -171,11 +171,11 @@ func (s *SelectiveRepeat) onData(m *transport.Message) bool {
 		s.expected++
 		// Flush buffered successors. They must be processed *before*
 		// anything already queued behind the current message — a raw
-		// arrival sitting in the lane's rxq could otherwise match the advanced
-		// expected sequence and leapfrog them — so they are prepended to
-		// the channel's receive level, with sequences cleared so this
-		// discipline passes them through instead of re-filtering them as
-		// duplicates.
+		// arrival sitting in the lane's receive queue could otherwise match
+		// the advanced expected sequence and leapfrog them — so they are
+		// prepended to the channel's receive level, with sequences cleared
+		// so this discipline passes them through instead of re-filtering
+		// them as duplicates.
 		var flushed []*transport.Message
 		for {
 			next, ok := s.buffered[s.expected]

@@ -36,10 +36,9 @@ import (
 // leaked state; see Proc.Lifecycle and Proc.Leaks.
 //
 // Everything here runs in the scheduler domain: signaling frames arrive
-// through the lane drain, and every
-// timer rides Config.After — so the same code is deterministic under a
-// VirtualTime mesh and needs no locking for the call table or the per-
-// channel signaling flags. The one lane-visible field, Channel.state, is
+// through the lane drain, and every timer rides Config.After — so the same
+// code is deterministic under a VirtualTime mesh and needs no locking for
+// the call table or the per-channel signaling flags. The one lane-visible field, Channel.state, is
 // atomic: lane engines read it on the send path (sendUnavailable) without
 // entering the scheduler domain.
 
